@@ -103,9 +103,10 @@ def constant_regime():
     # campaigns/cooperation_ladder.json, run against an in-memory store
     spec = CampaignSpec(
         name="table1-bne-constant-regime",
-        kind="tree_poa",
+        kind="exact_poa",
         grids=tuple(
-            {"n": n, "alpha": [small, large], "concept": "BGE"}
+            {"family": "trees", "n": n, "alpha": [small, large],
+             "concept": "BGE"}
             for n, small, large in _CONSTANT_REGIME_CASES
         ),
     )
@@ -115,7 +116,11 @@ def constant_regime():
 
     def poa(n, alpha):
         result = store.result(
-            trial_key("tree_poa", {"n": n, "alpha": alpha, "concept": Concept.BGE})
+            trial_key(
+                "exact_poa",
+                {"family": "trees", "n": n, "alpha": alpha,
+                 "concept": Concept.BGE},
+            )
         )
         return float(result["poa"])
 

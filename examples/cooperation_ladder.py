@@ -36,9 +36,10 @@ def ladder_spec(n: int = 9, alphas=(2, 4, 8, 16, 32, 64)) -> CampaignSpec:
     ]
     return CampaignSpec(
         name="cooperation-ladder",
-        kind="tree_poa",
+        kind="exact_poa",
         grids=tuple(
-            {"n": n, "alpha": list(alphas), "concept": concept}
+            {"family": "trees", "n": n, "alpha": list(alphas),
+             "concept": concept}
             | ({} if k is None else {"k": k})
             for _, concept, k in ladder
         ),
@@ -46,6 +47,7 @@ def ladder_spec(n: int = 9, alphas=(2, 4, 8, 16, 32, 64)) -> CampaignSpec:
             "reducer": "poa_table",
             "options": {
                 "n": n,
+                "family": "trees",
                 "alphas": list(alphas),
                 "title": (
                     "Exact tree PoA by cooperation level (all trees, n={n})"

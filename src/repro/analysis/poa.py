@@ -36,7 +36,6 @@ from repro.graphs.generation import all_connected_graphs, all_trees
 
 __all__ = [
     "PoAResult",
-    "WeightedPoAResult",
     "bse_upper_bound_via_dary_tree",
     "empirical_layer_poa",
     "empirical_poa",
@@ -49,7 +48,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PoAResult:
-    """Worst-case ratio over an enumerated family, with the witness."""
+    """Worst-case ratio over an enumerated family, with the witness.
+
+    Uniform, unmodeled scans report ``rho`` against the closed-form
+    optimum.  Weighted or modeled games have no closed-form optimum and
+    demands break label symmetry, so their ratio is *family-relative*:
+    the worst equilibrium's social cost over the **minimum social cost
+    in the enumerated family**, with both costs in ``worst_cost`` /
+    ``best_cost`` (``None`` on rho scans).
+    """
 
     n: int
     alpha: Fraction
@@ -59,38 +66,61 @@ class PoAResult:
     witness: nx.Graph | None
     equilibria: int
     candidates: int
+    worst_cost: Fraction | None = None
+    best_cost: Fraction | None = None
 
 
 def _scan(
     graphs: Iterable[nx.Graph],
-    alpha: Fraction,
+    n: int,
+    alpha: AlphaLike,
     concept: Concept,
     k: int | None,
-    n: int,
+    traffic: TrafficMatrix | None = None,
+    cost_model: CostModel | None = None,
+    relative: bool = False,
+    ranked: list[tuple[Fraction, nx.Graph]] | None = None,
 ) -> PoAResult:
+    """The one scan loop behind every PoA function in this module.
+
+    A rho scan builds each state, checks it, and prices only the
+    equilibria.  A ``relative`` scan also prices every candidate, since
+    the family's cheapest member is the denominator; when that cheapest
+    cost is 0 (the single-node game) the ratio is 1.  ``ranked``, when
+    given, collects every equilibrium as ``(value, graph)``, the value
+    being rho, or the social cost on a relative scan.
+    """
+    price = as_alpha(alpha)
     worst: Fraction | None = None
+    best: Fraction | None = None
     witness: nx.Graph | None = None
-    equilibria = 0
-    candidates = 0
+    equilibria = candidates = 0
     for graph in graphs:
         candidates += 1
-        state = GameState(graph, alpha)
+        state = GameState(graph, price, traffic=traffic, cost_model=cost_model)
+        if relative:
+            cost = state.social_cost()
+            if best is None or cost < best:
+                best = cost
         if not check(state, concept, k=k):
             continue
         equilibria += 1
-        rho = state.rho()
-        if worst is None or rho > worst:
-            worst = rho
+        value = cost if relative else state.rho()
+        if ranked is not None:
+            ranked.append((value, state.graph.copy()))
+        if worst is None or value > worst:
+            worst = value
             witness = state.graph.copy()
+    poa = worst
+    costs: dict[str, Fraction | None] = {}
+    if relative:
+        if best is None:
+            raise ValueError(f"the enumerated family on n={n} nodes is empty")
+        costs = {"worst_cost": worst, "best_cost": best}
+        if worst is not None:
+            poa = Fraction(1) if worst == best else worst / best
     return PoAResult(
-        n=n,
-        alpha=alpha,
-        concept=concept,
-        k=k,
-        poa=worst,
-        witness=witness,
-        equilibria=equilibria,
-        candidates=candidates,
+        n, price, concept, k, poa, witness, equilibria, candidates, **costs
     )
 
 
@@ -102,8 +132,7 @@ def empirical_tree_poa(
     Enumerates every non-isomorphic tree; feasible up to ``n ~ 13``
     (1301 trees) for the polynomial concepts, less for BNE/k-BSE.
     """
-    price = as_alpha(alpha)
-    return _scan(all_trees(n), price, concept, k, n)
+    return _scan(all_trees(n), n, alpha, concept, k)
 
 
 def empirical_poa(
@@ -115,8 +144,7 @@ def empirical_poa(
     carries the sweep to ``n = 8`` in seconds and ``n = 9`` in minutes
     (the checker cost, not the enumeration, dominates there).
     """
-    price = as_alpha(alpha)
-    return _scan(all_connected_graphs(n), price, concept, k, n)
+    return _scan(all_connected_graphs(n), n, alpha, concept, k)
 
 
 def empirical_layer_poa(
@@ -136,11 +164,8 @@ def empirical_layer_poa(
     from repro.graphs.canonical import decode_key
     from repro.graphs.enumerate import connected_graph_layer
 
-    price = as_alpha(alpha)
-    graphs = (
-        decode_key(key)[0] for key in connected_graph_layer(n, m)
-    )
-    return _scan(graphs, price, concept, k, n)
+    graphs = (decode_key(key)[0] for key in connected_graph_layer(n, m))
+    return _scan(graphs, n, alpha, concept, k)
 
 
 def worst_equilibria(
@@ -152,39 +177,11 @@ def worst_equilibria(
     trees_only: bool = True,
 ) -> list[tuple[Fraction, nx.Graph]]:
     """The ``top`` worst equilibria (ratio, graph), descending."""
-    price = as_alpha(alpha)
     graphs = all_trees(n) if trees_only else all_connected_graphs(n)
     scored: list[tuple[Fraction, nx.Graph]] = []
-    for graph in graphs:
-        state = GameState(graph, price)
-        if check(state, concept, k=k):
-            scored.append((state.rho(), state.graph.copy()))
+    _scan(graphs, n, alpha, concept, k, ranked=scored)
     scored.sort(key=lambda item: item[0], reverse=True)
     return scored[:top]
-
-
-@dataclass(frozen=True)
-class WeightedPoAResult:
-    """Family-relative worst-case ratio under a heterogeneous demand matrix.
-
-    The uniform game has a closed-form optimum; a weighted game does
-    not, and demands break label symmetry, so the ratio here is
-    *family-relative*: worst equilibrium social cost over the **minimum
-    social cost in the enumerated family** (a certified lower bound on
-    the true weighted PoA — the enumeration quantifies over one labelled
-    representative per isomorphism class).
-    """
-
-    n: int
-    alpha: Fraction
-    concept: Concept
-    k: int | None
-    poa: Fraction | None  # None when no equilibrium exists in the family
-    worst_cost: Fraction | None
-    best_cost: Fraction
-    witness: nx.Graph | None
-    equilibria: int
-    candidates: int
 
 
 def empirical_weighted_poa(
@@ -195,7 +192,7 @@ def empirical_weighted_poa(
     k: int | None = None,
     trees_only: bool = True,
     cost_model: CostModel | None = None,
-) -> WeightedPoAResult:
+) -> PoAResult:
     """Worst equilibrium vs family optimum under a demand matrix and/or a
     cost model.
 
@@ -203,48 +200,21 @@ def empirical_weighted_poa(
     :func:`empirical_poa` (one labelled representative per isomorphism
     class), checks each representative against the *weighted/modeled*
     concept checkers, and divides the worst equilibrium's social cost by
-    the family's minimum social cost.  With
-    ``TrafficMatrix.uniform(n)`` (and a linear or absent ``cost_model``)
-    the checkers run the unweighted code paths, and whenever the
-    closed-form optimum lies inside the enumerated family — for trees
-    that is ``alpha >= 1``, where the optimum is the star — the ratio
-    reproduces the uniform PoA exactly (for ``alpha < 1`` the uniform
-    optimum is the clique, so the tree-family ratio is denominated by
-    the cheapest tree instead).  Non-linear models have no closed-form
-    optimum at all, so the family-relative ratio is the definition of
-    record for them.
+    the family's minimum social cost — a certified lower bound on the
+    true weighted PoA, since the quantifier runs over one labelling per
+    shape.  With ``TrafficMatrix.uniform(n)`` (and a linear or absent
+    ``cost_model``) the checkers run the unweighted code paths, and
+    whenever the closed-form optimum lies inside the enumerated family —
+    for trees that is ``alpha >= 1``, where the optimum is the star — the
+    ratio reproduces the uniform PoA exactly (for ``alpha < 1`` the
+    uniform optimum is the clique, so the tree-family ratio is
+    denominated by the cheapest tree instead).  Non-linear models have no
+    closed-form optimum at all, so the family-relative ratio is the
+    definition of record for them.
     """
-    price = as_alpha(alpha)
     graphs = all_trees(n) if trees_only else all_connected_graphs(n)
-    worst: Fraction | None = None
-    witness: nx.Graph | None = None
-    best: Fraction | None = None
-    equilibria = 0
-    candidates = 0
-    for graph in graphs:
-        candidates += 1
-        state = GameState(graph, price, traffic=traffic, cost_model=cost_model)
-        cost = state.social_cost()
-        if best is None or cost < best:
-            best = cost
-        if not check(state, concept, k=k):
-            continue
-        equilibria += 1
-        if worst is None or cost > worst:
-            worst = cost
-            witness = state.graph.copy()
-    assert best is not None, "the family enumeration was empty"
-    return WeightedPoAResult(
-        n=n,
-        alpha=price,
-        concept=concept,
-        k=k,
-        poa=None if worst is None else worst / best,
-        worst_cost=worst,
-        best_cost=best,
-        witness=witness,
-        equilibria=equilibria,
-        candidates=candidates,
+    return _scan(
+        graphs, n, alpha, concept, k, traffic, cost_model, relative=True
     )
 
 
@@ -255,7 +225,7 @@ def exact_weighted_tree_poa(
     traffic: TrafficMatrix,
     k: int | None = None,
     cost_model: CostModel | None = None,
-) -> WeightedPoAResult:
+) -> PoAResult:
     """Exact weighted PoA over **all labelled trees** on ``n`` nodes.
 
     :func:`empirical_weighted_poa` checks one labelled representative per
@@ -274,36 +244,9 @@ def exact_weighted_tree_poa(
     """
     from repro.graphs.enumerate import enumerate_labelled_trees
 
-    price = as_alpha(alpha)
-    worst: Fraction | None = None
-    witness: nx.Graph | None = None
-    best: Fraction | None = None
-    equilibria = 0
-    candidates = 0
-    for graph in enumerate_labelled_trees(n, traffic):
-        candidates += 1
-        state = GameState(graph, price, traffic=traffic, cost_model=cost_model)
-        cost = state.social_cost()
-        if best is None or cost < best:
-            best = cost
-        if not check(state, concept, k=k):
-            continue
-        equilibria += 1
-        if worst is None or cost > worst:
-            worst = cost
-            witness = state.graph.copy()
-    assert best is not None, "the labelled-tree enumeration was empty"
-    return WeightedPoAResult(
-        n=n,
-        alpha=price,
-        concept=concept,
-        k=k,
-        poa=None if worst is None else worst / best,
-        worst_cost=worst,
-        best_cost=best,
-        witness=witness,
-        equilibria=equilibria,
-        candidates=candidates,
+    return _scan(
+        enumerate_labelled_trees(n, traffic), n, alpha, concept, k,
+        traffic, cost_model, relative=True,
     )
 
 

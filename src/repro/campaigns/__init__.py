@@ -9,10 +9,9 @@ first-class object:
   (JSON round-trip, committed next to the code) expanding
   deterministically into content-addressed :class:`Trial`\\ s;
 * :mod:`~repro.campaigns.runners` — the per-trial execution kinds
-  (``tree_poa``, ``graph_poa``, ``dynamics``, ``weighted_poa``,
-  ``constructions``, ``ladder_classify``), all riding the
-  speculative-evaluation engine, all bit-reproducible from the campaign
-  seed;
+  (``exact_poa``, the one PoA runner, plus ``conjecture_hunt``,
+  ``constructions``, ``ladder_classify`` and ``dynamics``), all
+  bit-reproducible from the campaign seed;
 * :mod:`~repro.campaigns.executor` — sharded ``multiprocessing``
   execution that survives worker crashes and streams records;
 * :mod:`~repro.campaigns.store` — append-only JSONL store + manifest

@@ -10,9 +10,20 @@ which order they landed.
 Built-in reducers:
 
 ``poa_table``
-    Table-1-style rows: one row per alpha, one column per solution
-    concept, cells the exact worst-case PoA of the matching ``tree_poa``
-    / ``graph_poa`` trial.  This is the cooperation-ladder rendering.
+    Table-1-style rows over ``exact_poa`` trials: one row per alpha
+    (optionally per traffic or cost-model regime x alpha), one column
+    per solution concept.  A cell may be one whole-family trial *or*
+    sharded across an ``m`` (edge-count layer) axis; layered cells
+    aggregate exactly — PoA is the max over layers, equilibria and
+    candidates the sums — so the table is byte-identical whether the
+    campaign ran layered or whole.  Legacy reducer names
+    (``weighted_poa_table``, ``costmodel_poa_table``,
+    ``exact_poa_table``) are upgraded to it when a spec is built.
+``poa_fit``
+    PoA-vs-alpha scaling fits (:mod:`repro.analysis.fitting`) over the
+    same cells: one row per concept column with the ``rho ~ log2(alpha)``
+    slope, the log-log power-law exponent and the relative spread — the
+    shape comparison behind the paper's Theta claims.
 ``convergence``
     Groups ``dynamics`` trials by everything but their seed ``index``
     and reduces each group to a
@@ -23,25 +34,6 @@ Built-in reducers:
 ``trial_table``
     A flat listing of every trial and its status — the fallback report
     for any campaign shape.
-``weighted_poa_table``
-    Traffic-regime-by-alpha rows against concept columns, cells the
-    family-relative weighted PoA of the matching ``weighted_poa`` trial.
-``costmodel_poa_table``
-    Cost-model-regime-by-alpha rows against concept columns, cells the
-    family-relative PoA of the matching ``generalized_poa`` trial —
-    the linear-vs-concave-vs-convex-vs-max separation rendering.
-``poa_fit``
-    PoA-vs-alpha scaling fits (:mod:`repro.analysis.fitting`): one row
-    per concept column with the ``rho ~ log2(alpha)`` slope, the
-    log-log power-law exponent and the relative spread — the shape
-    comparison behind the paper's Theta claims, computed from campaign
-    records instead of a hand-rolled benchmark loop.
-``exact_poa_table``
-    Alpha-by-concept table over ``exact_poa`` trials.  A cell may be
-    covered by one whole-family trial *or* sharded across an ``m``
-    (edge-count layer) axis; layered cells aggregate exactly — PoA is
-    the max over layers, equilibria/candidates the sum — so the table is
-    byte-identical whether the campaign ran layered or whole.
 ``conjecture_table``
     One row per ``conjecture_hunt`` cell: graphs scanned, NE counts,
     refutations, and the first replayable certificate.
@@ -51,7 +43,7 @@ from __future__ import annotations
 
 import statistics
 from fractions import Fraction
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro._alpha import as_alpha
 from repro.analysis.tables import render_table
@@ -63,14 +55,14 @@ from repro.dynamics.convergence import ConvergenceStats
 __all__ = [
     "REDUCERS",
     "convergence_stats",
+    "layer_groups",
+    "layer_key",
+    "merge_layers",
     "reduce_conjecture_table",
     "reduce_convergence",
-    "reduce_costmodel_poa_table",
-    "reduce_exact_poa_table",
     "reduce_poa_fit",
     "reduce_poa_table",
     "reduce_trial_table",
-    "reduce_weighted_poa_table",
     "render_report",
 ]
 
@@ -83,135 +75,119 @@ def _concept_of(value) -> Concept:
     return Concept[value] if value in Concept.__members__ else Concept(value)
 
 
+# -- PoA cells ---------------------------------------------------------------
+#
+# A PoA cell is every trial that matches it once the edge-count layer axis
+# ``m`` is stripped: one whole-family trial or many layered ones.  The
+# reducers below and the serve views (:mod:`repro.serve.views`) share this
+# grouping and its aggregate.
+
+
+def layer_key(kind: str, params: Mapping[str, Any]) -> str:
+    """The trial key of ``params`` with the layer axis ``m`` stripped."""
+    return trial_key(
+        kind, {name: value for name, value in params.items() if name != "m"}
+    )
+
+
+def layer_groups(trials: Iterable[Trial]) -> dict[str, list[Trial]]:
+    """Trials grouped by :func:`layer_key`, in expansion order."""
+    groups: dict[str, list[Trial]] = {}
+    for trial in trials:
+        key = layer_key(trial.kind, trial.params)
+        groups.setdefault(key, []).append(trial)
+    return groups
+
+
+def merge_layers(results: list[Mapping[str, Any]]) -> dict[str, Any]:
+    """One cell's aggregate: max PoA over its trials, summed counts."""
+    poas = [r["poa"] for r in results if r.get("poa") is not None]
+    return {
+        "poa": max(poas) if poas else None,
+        "equilibria": sum(r.get("equilibria", 0) for r in results),
+        "candidates": sum(r.get("candidates", 0) for r in results),
+    }
+
+
+def _poa_cells(
+    spec: CampaignSpec, store: CampaignStore, options: Mapping[str, Any]
+) -> Callable[..., dict[str, Any] | None]:
+    """The cell lookup of the PoA reducers.
+
+    Returns ``cell(alpha, column, regime)``: the :func:`merge_layers`
+    aggregate of the matching ``exact_poa`` trials, or ``None`` while any
+    of them (or all, when none match) is missing.  A cell's parameters
+    are ``n``, ``alpha``, the column's ``concept`` / ``k`` / ``params``,
+    the regime's entries other than ``label``, and the ``family`` option
+    unless the column pins one.
+    """
+    n = int(options["n"])
+    family = options.get("family")
+    groups = layer_groups(spec.trials())
+
+    def cell(alpha, column, regime: Mapping[str, Any]):
+        params: dict[str, Any] = {
+            "n": n,
+            "alpha": alpha,
+            "concept": _concept_of(column["concept"]),
+        }
+        if column.get("k") is not None:
+            params["k"] = int(column["k"])
+        params.update(column.get("params") or {})
+        params.update(
+            (name, value) for name, value in regime.items() if name != "label"
+        )
+        if family is not None:
+            params.setdefault("family", family)
+        trials = groups.get(layer_key("exact_poa", params), [])
+        results = [store.result(trial.key) for trial in trials]
+        if not results or any(result is None for result in results):
+            return None
+        return merge_layers(results)
+
+    return cell
+
+
 def reduce_poa_table(
     spec: CampaignSpec, store: CampaignStore, options: Mapping[str, Any]
 ) -> str:
-    """Alpha-by-concept PoA table (the cooperation-ladder rendering).
+    """Alpha-by-concept PoA table, optionally split by regime.
 
     Options: ``n`` (int), ``alphas`` (list), ``columns`` (list of
-    ``{"header", "concept", "k"?}``), optional ``kind`` (defaults to the
-    campaign kind) and ``title`` (may reference ``{n}``).  Cells of
-    trials not yet in the store render as ``?``.
+    ``{"header", "concept", "k"?, "params"?}``), optional ``family``
+    and ``title`` (may reference ``{n}``), and at most one regime axis:
+    ``traffics`` (rows headed ``traffic``) or ``models`` (rows headed
+    ``model``), each a list of ``{"label", ...}`` whose other entries —
+    the ``traffic`` / ``costmodel`` spec dicts the grid used — join the
+    cell's parameters.  Rows run regime-major, then alpha.  Cells with a
+    trial not yet in the store render as ``?``, equilibrium-free cells
+    as ``-``.
     """
-    n = int(options["n"])
-    kind = options.get("kind", spec.kind)
     alphas = [as_alpha(a) for a in options["alphas"]]
     columns = list(options["columns"])
     title = options.get(
         "title", "Exact tree PoA by cooperation level (all trees, n={n})"
-    ).format(n=n)
-
-    rows = []
-    for alpha in alphas:
-        cells: list[Any] = [alpha]
-        for column in columns:
-            result = store.result(
-                trial_key(kind, _column_params(n, alpha, column))
-            )
-            if result is None:
-                cells.append("?")
-            else:
-                poa = result["poa"]
-                cells.append(float(poa) if poa else "-")
-        rows.append(cells)
+    ).format(n=int(options["n"]))
     headers = ["alpha"] + [column["header"] for column in columns]
-    return render_table(headers, rows, title=title)
-
-
-def _column_params(
-    n: int, alpha, column: Mapping[str, Any]
-) -> dict[str, Any]:
-    """Trial parameters addressed by one report column (shared lookup)."""
-    params: dict[str, Any] = {
-        "n": n,
-        "alpha": alpha,
-        "concept": _concept_of(column["concept"]),
-    }
-    if column.get("k") is not None:
-        params["k"] = int(column["k"])
-    for name, value in (column.get("params") or {}).items():
-        params[name] = value
-    return params
-
-
-def reduce_weighted_poa_table(
-    spec: CampaignSpec, store: CampaignStore, options: Mapping[str, Any]
-) -> str:
-    """Traffic-by-alpha rows against concept columns (``weighted_poa``).
-
-    Options: ``n``, ``alphas``, ``traffics`` (list of ``{"label",
-    "traffic"}`` with the same spec dicts the grid used), ``columns``
-    (``{"header", "concept", "k"?, "params"?}``), optional ``kind`` and
-    ``title``.  Cells are the family-relative weighted PoA; trials not
-    yet in the store render as ``?``, equilibrium-free cells as ``-``.
-    """
-    n = int(options["n"])
-    kind = options.get("kind", spec.kind)
-    alphas = [as_alpha(a) for a in options["alphas"]]
-    traffics = list(options["traffics"])
-    columns = list(options["columns"])
-    title = options.get(
-        "title", "Family-relative weighted PoA by traffic regime (n={n})"
-    ).format(n=n)
+    regimes: list[Mapping[str, Any]] = [{}]
+    for name, header in (("traffics", "traffic"), ("models", "model")):
+        if name in options:
+            headers.insert(0, header)
+            regimes = list(options[name])
+            break
+    cell = _poa_cells(spec, store, options)
 
     rows = []
-    for regime in traffics:
+    for regime in regimes:
         for alpha in alphas:
-            cells: list[Any] = [regime["label"], alpha]
+            row: list[Any] = [regime["label"], alpha] if regime else [alpha]
             for column in columns:
-                params = _column_params(n, alpha, column)
-                params["traffic"] = regime["traffic"]
-                result = store.result(trial_key(kind, params))
+                result = cell(alpha, column, regime)
                 if result is None:
-                    cells.append("?")
+                    row.append("?")
                 else:
-                    poa = result["poa"]
-                    cells.append(float(poa) if poa else "-")
-            rows.append(cells)
-    headers = ["traffic", "alpha"] + [column["header"] for column in columns]
-    return render_table(headers, rows, title=title)
-
-
-def reduce_costmodel_poa_table(
-    spec: CampaignSpec, store: CampaignStore, options: Mapping[str, Any]
-) -> str:
-    """Cost-model-by-alpha rows against concept columns (``generalized_poa``).
-
-    Options: ``n``, ``alphas``, ``models`` (list of ``{"label",
-    "costmodel", "traffic"?}`` with the same spec dicts the grid used),
-    ``columns`` (``{"header", "concept", "k"?, "params"?}``), optional
-    ``kind`` and ``title``.  Cells are the family-relative PoA under the
-    regime's cost model; trials not yet in the store render as ``?``,
-    equilibrium-free cells as ``-``.  A regime's ``traffic`` key is only
-    written into the trial parameters when present, so the lookup matches
-    grids that omit the traffic axis entirely.
-    """
-    n = int(options["n"])
-    kind = options.get("kind", spec.kind)
-    alphas = [as_alpha(a) for a in options["alphas"]]
-    models = list(options["models"])
-    columns = list(options["columns"])
-    title = options.get(
-        "title", "Family-relative PoA by cost model (n={n})"
-    ).format(n=n)
-
-    rows = []
-    for regime in models:
-        for alpha in alphas:
-            cells: list[Any] = [regime["label"], alpha]
-            for column in columns:
-                params = _column_params(n, alpha, column)
-                params["costmodel"] = regime["costmodel"]
-                if regime.get("traffic") is not None:
-                    params["traffic"] = regime["traffic"]
-                result = store.result(trial_key(kind, params))
-                if result is None:
-                    cells.append("?")
-                else:
-                    poa = result["poa"]
-                    cells.append(float(poa) if poa else "-")
-            rows.append(cells)
-    headers = ["model", "alpha"] + [column["header"] for column in columns]
+                    row.append(float(result["poa"]) if result["poa"] else "-")
+            rows.append(row)
     return render_table(headers, rows, title=title)
 
 
@@ -221,8 +197,9 @@ def reduce_poa_fit(
     """PoA-vs-alpha scaling fits per concept column.
 
     Options: ``n``, ``alphas``, ``columns`` (``{"header", "concept",
-    "k"?, "params"?}``), optional ``kind`` / ``title``.  Each column's
-    ``(alpha, poa)`` points (completed trials with an equilibrium) feed
+    "k"?, "params"?}``), optional ``family`` / ``title``.  Each column's
+    ``(alpha, poa)`` points (complete cells with an equilibrium, layered
+    or whole, exactly as :func:`reduce_poa_table` reads them) feed
     :func:`repro.analysis.fitting.fit_log_slope` and
     :func:`~repro.analysis.fitting.fit_power_law`; rows report both
     slopes, their r-squared and the relative spread, so a
@@ -236,22 +213,19 @@ def reduce_poa_fit(
         relative_spread,
     )
 
-    n = int(options["n"])
-    kind = options.get("kind", spec.kind)
     alphas = [as_alpha(a) for a in options["alphas"]]
     columns = list(options["columns"])
     title = options.get(
         "title", "PoA-vs-alpha scaling fits (n={n})"
-    ).format(n=n)
+    ).format(n=int(options["n"]))
+    cell = _poa_cells(spec, store, options)
 
     rows = []
     for column in columns:
         points: list[tuple[Fraction, Fraction]] = []
         for alpha in alphas:
-            result = store.result(
-                trial_key(kind, _column_params(n, alpha, column))
-            )
-            if result is None or not result.get("poa"):
+            result = cell(alpha, column, {})
+            if result is None or not result["poa"]:
                 continue
             points.append((alpha, result["poa"]))
         if len(points) < 2:
@@ -278,66 +252,6 @@ def reduce_poa_fit(
         "column", "points", "log2 slope", "r2(log)",
         "power exp", "r2(power)", "spread",
     ]
-    return render_table(headers, rows, title=title)
-
-
-def reduce_exact_poa_table(
-    spec: CampaignSpec, store: CampaignStore, options: Mapping[str, Any]
-) -> str:
-    """Alpha-by-concept table over ``exact_poa`` trials, layer-aware.
-
-    Options: ``n``, ``alphas``, ``columns`` (``{"header", "concept",
-    "k"?, "params"?}``), optional ``family`` (merged into every cell's
-    params unless the column already pins one), ``kind`` and ``title``.
-    A cell's trials are every spec trial whose parameters — with the
-    edge-count layer axis ``m`` stripped — match the cell: one whole
-    trial or many layered ones.  PoA aggregates as the max over layers,
-    equilibria/candidates as sums, so layered and whole campaigns render
-    byte-identically.  Cells with any layer still missing render ``?``,
-    equilibrium-free cells ``-``.
-    """
-    n = int(options["n"])
-    kind = options.get("kind", spec.kind)
-    alphas = [as_alpha(a) for a in options["alphas"]]
-    columns = list(options["columns"])
-    family = options.get("family")
-    title = options.get(
-        "title", "Exact PoA over all connected graphs (n={n})"
-    ).format(n=n)
-
-    trials = [trial for trial in spec.trials() if trial.kind == kind]
-    stripped_keys = [
-        trial_key(
-            kind,
-            {name: value for name, value in trial.items if name != "m"},
-        )
-        for trial in trials
-    ]
-
-    rows = []
-    for alpha in alphas:
-        cells: list[Any] = [alpha]
-        for column in columns:
-            cell_params = _column_params(n, alpha, column)
-            if family is not None and "family" not in cell_params:
-                cell_params["family"] = family
-            wanted = trial_key(kind, cell_params)
-            matched = [
-                trial
-                for trial, stripped in zip(trials, stripped_keys)
-                if stripped == wanted
-            ]
-            results = [store.result(trial.key) for trial in matched]
-            if not matched or any(result is None for result in results):
-                cells.append("?")
-                continue
-            poas = [
-                result["poa"] for result in results
-                if result["poa"] is not None
-            ]
-            cells.append(float(max(poas)) if poas else "-")
-        rows.append(cells)
-    headers = ["alpha"] + [column["header"] for column in columns]
     return render_table(headers, rows, title=title)
 
 
@@ -559,9 +473,6 @@ REDUCERS: dict[str, Reducer] = {
     "poa_fit": reduce_poa_fit,
     "convergence": reduce_convergence,
     "trial_table": reduce_trial_table,
-    "weighted_poa_table": reduce_weighted_poa_table,
-    "costmodel_poa_table": reduce_costmodel_poa_table,
-    "exact_poa_table": reduce_exact_poa_table,
     "conjecture_table": reduce_conjecture_table,
 }
 

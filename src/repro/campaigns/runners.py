@@ -80,139 +80,6 @@ def _concept(params: Mapping[str, Any]) -> Concept:
     return concept
 
 
-@runner("tree_poa")
-def run_tree_poa(params: Mapping[str, Any], base_seed: int) -> dict[str, Any]:
-    """Exact worst-case PoA over all non-isomorphic trees (one cell of
-    Table 1); deterministic, so the base seed is unused."""
-    from repro.analysis.poa import empirical_tree_poa
-
-    result = empirical_tree_poa(
-        int(params["n"]),
-        params["alpha"],
-        _concept(params),
-        k=params.get("k"),
-    )
-    return {
-        "poa": result.poa,
-        "equilibria": result.equilibria,
-        "candidates": result.candidates,
-    }
-
-
-@runner("graph_poa")
-def run_graph_poa(params: Mapping[str, Any], base_seed: int) -> dict[str, Any]:
-    """Exact worst-case PoA over all connected graphs.
-
-    Atlas-backed to ``n = 7``, canonical-key enumerated above; for
-    ``n >= 8`` prefer the ``exact_poa`` kind with an ``m`` axis — one
-    trial per edge-count layer resumes at layer granularity."""
-    from repro.analysis.poa import empirical_poa
-
-    result = empirical_poa(
-        int(params["n"]),
-        params["alpha"],
-        _concept(params),
-        k=params.get("k"),
-    )
-    return {
-        "poa": result.poa,
-        "equilibria": result.equilibria,
-        "candidates": result.candidates,
-    }
-
-
-@runner("weighted_poa")
-def run_weighted_poa(
-    params: Mapping[str, Any], base_seed: int
-) -> dict[str, Any]:
-    """Family-relative worst-case PoA under a heterogeneous demand matrix.
-
-    ``params["traffic"]`` is a **required** JSON-able traffic spec
-    (:func:`repro.core.traffic.traffic_from_spec`) — part of the trial's
-    content hash, so the demand matrix is a pure function of the trial's
-    identity and every trial has exactly one spelling (an absent axis
-    would hash differently from an explicit ``{"model": "uniform"}``,
-    splitting one semantic trial across two keys).  Deterministic; the
-    base seed is unused (seeded traffic models carry their own ``seed``
-    parameter).
-    """
-    from repro.analysis.poa import empirical_weighted_poa
-    from repro.core.traffic import traffic_from_spec
-
-    n = int(params["n"])
-    if params.get("traffic") is None:
-        raise ValueError(
-            "weighted_poa trials need an explicit 'traffic' spec "
-            '(use {"model": "uniform"} for the uniform game)'
-        )
-    traffic = traffic_from_spec(params["traffic"], n)
-    family = params.get("family", "trees")
-    if family not in ("trees", "graphs"):
-        raise ValueError(f"unknown graph family {family!r}")
-    result = empirical_weighted_poa(
-        n,
-        params["alpha"],
-        _concept(params),
-        traffic,
-        k=params.get("k"),
-        trees_only=family == "trees",
-    )
-    return {
-        "poa": result.poa,
-        "worst_cost": result.worst_cost,
-        "best_cost": result.best_cost,
-        "equilibria": result.equilibria,
-        "candidates": result.candidates,
-    }
-
-
-@runner("generalized_poa")
-def run_generalized_poa(
-    params: Mapping[str, Any], base_seed: int
-) -> dict[str, Any]:
-    """Family-relative worst-case PoA under a pluggable cost model.
-
-    ``params["costmodel"]`` is a **required** JSON-able cost-model spec
-    (:func:`repro.core.costmodel.costmodel_from_spec`) — part of the
-    trial's content hash for the same single-spelling reason as the
-    ``weighted_poa`` runner's traffic axis (use ``{"model": "linear"}``
-    for the paper's game).  An optional ``traffic`` spec composes a
-    demand matrix with the model.  Deterministic; the base seed is
-    unused.
-    """
-    from repro.analysis.poa import empirical_weighted_poa
-    from repro.core.costmodel import costmodel_from_spec
-    from repro.core.traffic import traffic_from_spec
-
-    n = int(params["n"])
-    if params.get("costmodel") is None:
-        raise ValueError(
-            "generalized_poa trials need an explicit 'costmodel' spec "
-            '(use {"model": "linear"} for the paper\'s game)'
-        )
-    cost_model = costmodel_from_spec(params["costmodel"], n)
-    traffic = traffic_from_spec(params.get("traffic"), n)
-    family = params.get("family", "trees")
-    if family not in ("trees", "graphs"):
-        raise ValueError(f"unknown graph family {family!r}")
-    result = empirical_weighted_poa(
-        n,
-        params["alpha"],
-        _concept(params),
-        traffic,
-        k=params.get("k"),
-        trees_only=family == "trees",
-        cost_model=cost_model,
-    )
-    return {
-        "poa": result.poa,
-        "worst_cost": result.worst_cost,
-        "best_cost": result.best_cost,
-        "equilibria": result.equilibria,
-        "candidates": result.candidates,
-    }
-
-
 def _witness_payload(witness, traffic=None) -> dict[str, Any]:
     """Content-addressed witness certificate: canonical-key digest + edges.
 
@@ -243,63 +110,69 @@ def run_exact_poa(params, base_seed: int) -> dict[str, Any]:
     """Exact PoA over a canonically enumerated family, with certificates.
 
     ``family`` selects the quantifier: ``"trees"`` (all non-isomorphic
-    trees), ``"graphs"`` (all connected graphs — optionally one
-    edge-count layer ``m``, the campaign resume unit: the full PoA is
-    the max over the ``m`` axis and each layer is its own
+    trees), ``"graphs"`` (the default: all connected graphs — optionally
+    one edge-count layer ``m``, the campaign resume unit: the full PoA
+    is the max over the ``m`` axis and each layer is its own
     content-addressed trial), or ``"labelled_trees"`` (**all** labelled
     trees deduplicated by the joint ``(tree, W)`` canonical key, which
     needs an explicit ``traffic`` spec — the exact weighted tree PoA).
-    Results carry the worst witness as a canonical-key digest plus edge
-    list.  Deterministic; the base seed is unused.
+
+    The ratio follows the input: ``rho`` against the closed-form
+    optimum without ``traffic`` and ``costmodel`` specs; with either, the
+    family-relative ratio of :func:`repro.analysis.poa.
+    empirical_weighted_poa`, plus ``worst_cost`` / ``best_cost`` (it
+    needs the whole family, so an ``m`` layer is refused).  Results carry
+    the worst witness as a canonical-key digest plus edge list.
+    Deterministic; the base seed is unused.
     """
-    from repro.analysis.poa import (
-        empirical_layer_poa,
-        empirical_poa,
-        empirical_tree_poa,
-        exact_weighted_tree_poa,
-    )
+    from repro.analysis import poa
+    from repro.core.costmodel import costmodel_from_spec
+    from repro.core.traffic import traffic_from_spec
 
     n = int(params["n"])
+    alpha = params["alpha"]
     family = params.get("family", "graphs")
+    layer = params.get("m") if family == "graphs" else None
     concept = _concept(params)
     k = params.get("k")
-    if family == "trees":
-        result = empirical_tree_poa(n, params["alpha"], concept, k=k)
-    elif family == "graphs":
-        if params.get("m") is not None:
-            result = empirical_layer_poa(
-                n, int(params["m"]), params["alpha"], concept, k=k
-            )
-        else:
-            result = empirical_poa(n, params["alpha"], concept, k=k)
-    elif family == "labelled_trees":
-        from repro.core.traffic import traffic_from_spec
-
-        if params.get("traffic") is None:
+    traffic = traffic_from_spec(params.get("traffic"), n)
+    cost_model = costmodel_from_spec(params.get("costmodel"), n)
+    if family not in ("trees", "graphs", "labelled_trees"):
+        raise ValueError(f"unknown graph family {family!r}")
+    if family == "labelled_trees":
+        if traffic is None:
             raise ValueError(
                 "labelled_trees trials need an explicit 'traffic' spec "
                 "(the joint canonical key acts on the demand matrix)"
             )
-        traffic = traffic_from_spec(params["traffic"], n)
-        weighted = exact_weighted_tree_poa(
-            n, params["alpha"], concept, traffic, k=k
+        result = poa.exact_weighted_tree_poa(
+            n, alpha, concept, traffic, k=k, cost_model=cost_model
         )
-        return {
-            "poa": weighted.poa,
-            "worst_cost": weighted.worst_cost,
-            "best_cost": weighted.best_cost,
-            "equilibria": weighted.equilibria,
-            "candidates": weighted.candidates,
-            **_witness_payload(weighted.witness, traffic),
-        }
+    elif traffic is not None or cost_model is not None:
+        if layer is not None:
+            raise ValueError(
+                "a family-relative ratio needs the whole family; drop "
+                "the 'm' layer axis from traffic / costmodel trials"
+            )
+        result = poa.empirical_weighted_poa(
+            n, alpha, concept, traffic, k=k,
+            trees_only=family == "trees", cost_model=cost_model,
+        )
+    elif family == "trees":
+        result = poa.empirical_tree_poa(n, alpha, concept, k=k)
+    elif layer is not None:
+        result = poa.empirical_layer_poa(n, int(layer), alpha, concept, k=k)
     else:
-        raise ValueError(f"unknown graph family {family!r}")
-    return {
+        result = poa.empirical_poa(n, alpha, concept, k=k)
+    out: dict[str, Any] = {
         "poa": result.poa,
         "equilibria": result.equilibria,
         "candidates": result.candidates,
-        **_witness_payload(result.witness),
     }
+    if result.best_cost is not None:
+        out["worst_cost"] = result.worst_cost
+        out["best_cost"] = result.best_cost
+    return {**out, **_witness_payload(result.witness, traffic)}
 
 
 @runner("conjecture_hunt")

@@ -37,6 +37,8 @@ __all__ = [
     "from_jsonable",
     "to_jsonable",
     "trial_key",
+    "upgrade_report",
+    "upgrade_trial",
 ]
 
 
@@ -103,6 +105,60 @@ def trial_key(kind: str, params: Mapping[str, Any]) -> str:
     return blake2b(
         _canonical(kind, canon).encode("utf-8"), digest_size=16
     ).hexdigest()
+
+
+# -- legacy PoA names --------------------------------------------------------
+#
+# Specs (at construction), stores (at scan) and serve queries that still
+# use a retired PoA runner kind or reducer are upgraded in memory; no file
+# is ever rewritten.
+
+#: legacy PoA runner kind -> the ``exact_poa`` family it enumerated
+LEGACY_KINDS = {
+    "tree_poa": "trees", "graph_poa": "graphs",
+    "weighted_poa": "trees", "generalized_poa": "trees",
+}
+
+#: legacy PoA reducer -> the default title it rendered with
+LEGACY_REDUCERS = {
+    "weighted_poa_table": "Family-relative weighted PoA by traffic regime (n={n})",
+    "costmodel_poa_table": "Family-relative PoA by cost model (n={n})",
+    "exact_poa_table": "Exact PoA over all connected graphs (n={n})",
+}
+
+
+def upgrade_trial(
+    kind: str, params: Mapping[str, Any]
+) -> tuple[str, Mapping[str, Any]]:
+    """Spell a legacy-kind trial (or grid) as ``exact_poa``.
+
+    The legacy kind's family is added unless ``params`` already sets
+    one; other kinds pass through untouched.
+    """
+    family = LEGACY_KINDS.get(kind)
+    if family is None:
+        return kind, params
+    return "exact_poa", {"family": family, **params}
+
+
+def upgrade_report(report: Mapping[str, Any], kind: str) -> dict[str, Any]:
+    """Point a legacy PoA report at ``poa_table`` over ``exact_poa`` trials.
+
+    The retired ``kind`` option (default: the campaign ``kind``) becomes
+    a default ``family`` option, and a legacy reducer keeps its default
+    title, so an old spec renders byte-identically.
+    """
+    reducer = report.get("reducer")
+    if reducer not in ("poa_table", "poa_fit", *LEGACY_REDUCERS):
+        return dict(report)
+    options = dict(report.get("options", {}))
+    family = LEGACY_KINDS.get(options.pop("kind", kind))
+    if family is not None:
+        options.setdefault("family", family)
+    if reducer in LEGACY_REDUCERS:
+        options.setdefault("title", LEGACY_REDUCERS[reducer])
+        reducer = "poa_table"
+    return {**report, "reducer": reducer, "options": options}
 
 
 # -- trials ------------------------------------------------------------------
@@ -175,7 +231,8 @@ class CampaignSpec:
     order), and the campaign's trial list is the concatenation of its
     grids with duplicate trial keys dropped (first occurrence wins).  A
     grid may override the campaign-level runner ``kind`` with its own
-    ``"kind"`` entry.  Scalar axis values are treated as singleton lists,
+    ``"kind"`` entry.  Legacy PoA kinds and reducers are upgraded on
+    construction (:func:`upgrade_trial`, :func:`upgrade_report`).  Scalar axis values are treated as singleton lists,
     so ``{"n": 9, "alpha": [2, 4]}`` means two trials.
 
     ``seed`` is the campaign's base seed; runners derive every trial's
@@ -204,8 +261,16 @@ class CampaignSpec:
             raise ValueError("a campaign needs a name")
         if not self.grids:
             raise ValueError(f"campaign {self.name!r} has no grids")
-        object.__setattr__(self, "grids", tuple(dict(g) for g in self.grids))
-        object.__setattr__(self, "report", dict(self.report))
+        grids = []
+        for grid in map(dict, self.grids):
+            kind, grid = upgrade_trial(grid.get("kind", self.kind), grid)
+            grids.append({**grid, "kind": kind} if "kind" in grid else grid)
+        object.__setattr__(self, "grids", tuple(grids))
+        # the report reads the legacy kind for its family, so kind goes last
+        object.__setattr__(
+            self, "report", upgrade_report(self.report, self.kind)
+        )
+        object.__setattr__(self, "kind", upgrade_trial(self.kind, {})[0])
 
     # -- expansion ----------------------------------------------------------
 

@@ -45,7 +45,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Iterator, Mapping
 
-from repro.campaigns.spec import CampaignSpec, from_jsonable, to_jsonable
+from repro.campaigns.spec import (
+    CampaignSpec,
+    from_jsonable,
+    to_jsonable,
+    trial_key,
+    upgrade_trial,
+)
 
 __all__ = ["CampaignStore", "MergeStats", "TrialRecord", "merge_shards"]
 
@@ -64,6 +70,38 @@ def _record_identity(record: TrialRecord) -> dict[str, Any]:
     same deterministic trial; everything else must agree exactly.
     """
     return {k: v for k, v in record.items() if k != "elapsed"}
+
+
+def _read_records(path: Path) -> Iterator[TrialRecord | None]:
+    """Every non-blank line of a record file, decoded; ``None`` for a
+    torn or undecodable line.
+
+    A record of a legacy PoA kind is re-keyed in memory under its
+    ``exact_poa`` spelling (:func:`~repro.campaigns.spec.upgrade_trial`),
+    so an old store resumes and reports without a migration.
+    """
+    with path.open("r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                record = None
+            if not isinstance(record, dict) or not {"key", "status"} <= (
+                record.keys()
+            ):
+                yield None
+                continue
+            kind, params = upgrade_trial(
+                record.get("kind"), record.get("params") or {}
+            )
+            if kind != record.get("kind"):
+                record.update(
+                    kind=kind, params=params, key=trial_key(kind, params)
+                )
+            yield record
 
 
 class CampaignStore:
@@ -85,13 +123,7 @@ class CampaignStore:
         self.host_id = host_id
         if host_id is not None and self.root is None:
             raise ValueError("sharded (host_id) stores need an on-disk root")
-        self._ok: dict[str, TrialRecord] = {}
-        self._errors: dict[str, TrialRecord] = {}
-        self.corrupt_lines = 0
-        self.file_corrupt_lines: dict[str, int] = {}
-        #: file name -> decoded records scanned (shard-progress breakdown
-        #: for ``python -m repro.campaigns status`` in claim mode)
-        self.file_record_counts: dict[str, int] = {}
+        self._forget()
         self._handle: IO[str] | None = None
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -135,36 +167,27 @@ class CampaignStore:
     def _scan_file(self, path: Path) -> None:
         corrupt = 0
         decoded = 0
-        with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    key = record["key"]
-                    status = record["status"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    # torn final line from a killed run: the trial it
-                    # belonged to simply re-runs on resume
-                    corrupt += 1
-                    continue
-                decoded += 1
-                if status == "ok":
-                    existing = self._ok.get(key)
-                    if existing is None:
-                        self._ok[key] = record
-                    elif _record_identity(existing) != _record_identity(
-                        record
-                    ):
-                        raise ValueError(
-                            f"shards disagree on trial {key}: two ok "
-                            "records with different payloads (trials "
-                            "must be deterministic)"
-                        )
-                    # identical re-run from another shard: idempotent
-                else:
-                    self._errors.setdefault(key, record)
+        for record in _read_records(path):
+            if record is None:
+                # torn final line from a killed run: the trial it
+                # belonged to simply re-runs on resume
+                corrupt += 1
+                continue
+            decoded += 1
+            key = record["key"]
+            if record["status"] == "ok":
+                existing = self._ok.get(key)
+                if existing is None:
+                    self._ok[key] = record
+                elif _record_identity(existing) != _record_identity(record):
+                    raise ValueError(
+                        f"shards disagree on trial {key}: two ok records "
+                        "with different payloads (trials must be "
+                        "deterministic)"
+                    )
+                # identical re-run from another shard: idempotent
+            else:
+                self._errors.setdefault(key, record)
         self.file_record_counts[path.name] = (
             self.file_record_counts.get(path.name, 0) + decoded
         )
@@ -183,12 +206,18 @@ class CampaignStore:
         """
         if self.root is None:
             return
-        self._ok.clear()
-        self._errors.clear()
-        self.corrupt_lines = 0
-        self.file_corrupt_lines = {}
-        self.file_record_counts = {}
+        self._forget()
         self._scan()
+
+    def _forget(self) -> None:
+        """Start an empty manifest with zeroed scan accounting."""
+        self._ok: dict[str, TrialRecord] = {}
+        self._errors: dict[str, TrialRecord] = {}
+        self.corrupt_lines = 0
+        self.file_corrupt_lines: dict[str, int] = {}
+        #: file name -> decoded records scanned (shard-progress breakdown
+        #: for ``python -m repro.campaigns status`` in claim mode)
+        self.file_record_counts: dict[str, int] = {}
 
     def completed_keys(self) -> frozenset:
         """Keys with a successful record (skipped on resume)."""
@@ -283,14 +312,17 @@ class CampaignStore:
     # -- the spec ------------------------------------------------------------
 
     def save_spec(self, spec: CampaignSpec) -> None:
-        """Persist the spec into the store (guards against mixing stores)."""
+        """Persist the spec into the store (guards against mixing stores).
+
+        An equal spec on disk — a legacy spelling included — is left as is.
+        """
         existing = self.load_spec()
         if existing is not None and existing.name != spec.name:
             raise ValueError(
                 f"store at {self.root} belongs to campaign "
                 f"{existing.name!r}, not {spec.name!r}"
             )
-        if self.spec_path is not None:
+        if self.spec_path is not None and existing != spec:
             spec.save(self.spec_path)
 
     def load_spec(self) -> CampaignSpec | None:
@@ -343,11 +375,7 @@ def merge_shards(root: str | Path, prune: bool = False) -> MergeStats:
         # the canonical manifest must reflect only the canonical file:
         # rebuild from it alone so shard records actually *fold* instead
         # of being pre-marked as present
-        canonical._ok.clear()
-        canonical._errors.clear()
-        canonical.corrupt_lines = 0
-        canonical.file_corrupt_lines = {}
-        canonical.file_record_counts = {}
+        canonical._forget()
         if canonical.results_path.exists():
             canonical._scan_file(canonical.results_path)
 
@@ -359,49 +387,37 @@ def merge_shards(root: str | Path, prune: bool = False) -> MergeStats:
             stats.merged[name] = 0
             stats.duplicates[name] = 0
             stats.corrupt_lines[name] = 0
-            with shard.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                        key = record["key"]
-                        status = record["status"]
-                        if status not in ("ok", "error"):
-                            raise ValueError(status)
-                    except (
-                        json.JSONDecodeError, KeyError, TypeError,
-                        ValueError,
-                    ):
-                        stats.corrupt_lines[name] += 1
-                        continue
-                    stats.records[name] += 1
-                    if status == "ok":
-                        existing = canonical._ok.get(key)
-                        if existing is not None:
-                            if _record_identity(existing) != (
-                                _record_identity(record)
-                            ):
-                                raise ValueError(
-                                    f"shard {name} disagrees with the "
-                                    f"canonical store on trial {key}"
-                                )
-                            stats.duplicates[name] += 1
-                            continue
-                    elif key in canonical._ok or key in canonical._errors:
+            for record in _read_records(shard):
+                if record is None or record["status"] not in ("ok", "error"):
+                    stats.corrupt_lines[name] += 1
+                    continue
+                stats.records[name] += 1
+                key, status = record["key"], record["status"]
+                if status == "ok":
+                    existing = canonical._ok.get(key)
+                    if existing is not None:
+                        if _record_identity(existing) != (
+                            _record_identity(record)
+                        ):
+                            raise ValueError(
+                                f"shard {name} disagrees with the "
+                                f"canonical store on trial {key}"
+                            )
                         stats.duplicates[name] += 1
                         continue
-                    canonical.append(
-                        key=key,
-                        kind=record["kind"],
-                        params=from_jsonable(record["params"]),
-                        status=status,
-                        result=from_jsonable(record["result"]),
-                        error=record["error"],
-                        elapsed=record["elapsed"],
-                    )
-                    stats.merged[name] += 1
+                elif key in canonical._ok or key in canonical._errors:
+                    stats.duplicates[name] += 1
+                    continue
+                canonical.append(
+                    key=key,
+                    kind=record["kind"],
+                    params=from_jsonable(record["params"]),
+                    status=status,
+                    result=from_jsonable(record["result"]),
+                    error=record["error"],
+                    elapsed=record["elapsed"],
+                )
+                stats.merged[name] += 1
     finally:
         canonical.close()
     if prune:

@@ -8,15 +8,18 @@ instead of re-running enumeration:
 
 * the **exact index** maps every :func:`~repro.campaigns.spec.trial_key`
   in every registered store to its decoded result;
-* the **layer index** re-aggregates ``m``-sharded ``exact_poa`` trials
-  the same way :func:`~repro.campaigns.aggregate.reduce_exact_poa_table`
-  does — PoA is the max over edge-count layers, equilibria/candidates
-  the sums — so a query that does not mention ``m`` still resolves
-  against a campaign that ran layered.
+* the **layer index** groups ``m``-sharded trials into cells with the
+  reports' own :func:`~repro.campaigns.aggregate.layer_groups` and
+  aggregates them with :func:`~repro.campaigns.aggregate.merge_layers`
+  — PoA is the max over edge-count layers, equilibria/candidates the
+  sums — so a query that does not mention ``m`` still resolves against
+  a campaign that ran layered.
 
 Queries are content-addressed exactly like trials (``alpha: 4.5`` and
-``alpha: "9/2"`` hit the same record), so the view needs no schema
-knowledge beyond the shared ``m``-is-the-layer-axis convention.
+``alpha: "9/2"`` hit the same record), and a query spelled with a
+legacy PoA kind is upgraded like a legacy spec
+(:func:`~repro.campaigns.spec.upgrade_trial`), so the view needs no
+schema knowledge beyond the shared ``m``-is-the-layer-axis convention.
 """
 
 from __future__ import annotations
@@ -24,16 +27,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.campaigns.spec import CampaignSpec, trial_key
+from repro.campaigns.aggregate import layer_groups, layer_key, merge_layers
+from repro.campaigns.spec import CampaignSpec, trial_key, upgrade_trial
 from repro.campaigns.store import CampaignStore
 
 __all__ = ["MaterialisedViews"]
-
-
-def _stripped_key(kind: str, params: Mapping[str, Any]) -> str:
-    return trial_key(
-        kind, {name: value for name, value in params.items() if name != "m"}
-    )
 
 
 class MaterialisedViews:
@@ -42,7 +40,7 @@ class MaterialisedViews:
     def __init__(self, roots: list[str | Path] | None = None):
         self.sources: list[dict[str, Any]] = []
         self._exact: dict[str, dict[str, Any]] = {}
-        # stripped key -> {"source", "kind", "layers": [m...], "results": []}
+        # layer key -> {"source", "campaign", "results": [result | None]}
         self._layers: dict[str, dict[str, Any]] = {}
         for root in roots or []:
             self.add_store(root)
@@ -65,35 +63,31 @@ class MaterialisedViews:
         self, spec: CampaignSpec, store: CampaignStore, source: str
     ) -> dict[str, Any]:
         indexed = 0
-        for trial in spec.trials():
+        trials = spec.trials()
+        for trial in trials:
             result = store.result(trial.key)
             if result is not None and trial.key not in self._exact:
                 self._exact[trial.key] = {
                     "source": source,
                     "campaign": spec.name,
-                    "kind": trial.kind,
-                    "params": trial.params,
                     "result": result,
                 }
                 indexed += 1
-            if "m" in trial.params:
-                stripped = _stripped_key(trial.kind, trial.params)
-                group = self._layers.setdefault(
-                    stripped,
-                    {
-                        "source": source,
-                        "campaign": spec.name,
-                        "kind": trial.kind,
-                        "layers": [],
-                        "results": [],
-                    },
-                )
-                group["layers"].append(trial.params["m"])
-                group["results"].append(result)
+        layered = layer_groups(trial for trial in trials if "m" in trial.params)
+        for key, group in layered.items():
+            # like the exact index, the first store to cover a cell owns it
+            self._layers.setdefault(
+                key,
+                {
+                    "source": source,
+                    "campaign": spec.name,
+                    "results": [store.result(trial.key) for trial in group],
+                },
+            )
         info = {
             "source": source,
             "campaign": spec.name,
-            "trials": len(spec.trials()),
+            "trials": len(trials),
             "indexed": indexed,
         }
         self.sources.append(info)
@@ -111,8 +105,8 @@ class MaterialisedViews:
         ``"complete": false`` and aggregates what exists, mirroring the
         report's ``?`` semantics without hiding partial coverage.
         """
-        key = trial_key(kind, params)
-        hit = self._exact.get(key)
+        kind, params = upgrade_trial(kind, params)
+        hit = self._exact.get(trial_key(kind, params))
         if hit is not None:
             return {
                 "layered": False,
@@ -123,26 +117,20 @@ class MaterialisedViews:
             }
         if "m" in params:
             return None
-        group = self._layers.get(_stripped_key(kind, params))
+        group = self._layers.get(layer_key(kind, params))
         if group is None:
             return None
         present = [result for result in group["results"] if result is not None]
         if not present:
             return None
-        poas = [r["poa"] for r in present if r.get("poa") is not None]
-        aggregated: dict[str, Any] = {
-            "poa": max(poas) if poas else None,
-            "equilibria": sum(r.get("equilibria", 0) for r in present),
-            "candidates": sum(r.get("candidates", 0) for r in present),
-        }
         return {
             "layered": True,
             "source": group["source"],
             "campaign": group["campaign"],
-            "complete": all(r is not None for r in group["results"]),
+            "complete": len(present) == len(group["results"]),
             "layers": len(group["results"]),
             "layers_present": len(present),
-            "result": aggregated,
+            "result": merge_layers(present),
         }
 
     def stats(self) -> dict[str, Any]:

@@ -48,10 +48,15 @@ def tiny_spec(**overrides) -> CampaignSpec:
     """A mixed PoA + dynamics campaign small enough for unit tests."""
     payload = dict(
         name="tiny",
-        kind="tree_poa",
+        kind="exact_poa",
         seed=7,
         grids=(
-            {"n": 6, "alpha": [2, "9/2"], "concept": ["PS", "BGE"]},
+            {
+                "family": "trees",
+                "n": 6,
+                "alpha": [2, "9/2"],
+                "concept": ["PS", "BGE"],
+            },
             {
                 "kind": "dynamics",
                 "concept": "PS",
@@ -82,7 +87,7 @@ class TestSpecExpansion:
         alphas = {
             trial.params["alpha"]
             for trial in spec.trials()
-            if trial.kind == "tree_poa"
+            if trial.kind == "exact_poa"
         }
         assert alphas == {Fraction(2), Fraction(9, 2)}
 
@@ -111,20 +116,20 @@ class TestSpecExpansion:
 
     def test_key_is_spelling_invariant(self):
         base = trial_key(
-            "tree_poa", {"n": 6, "alpha": Fraction(9, 2), "concept": Concept.PS}
+            "exact_poa", {"n": 6, "alpha": Fraction(9, 2), "concept": Concept.PS}
         )
         assert base == trial_key(
-            "tree_poa", {"alpha": "9/2", "concept": "PS", "n": 6}
+            "exact_poa", {"alpha": "9/2", "concept": "PS", "n": 6}
         )
         assert base == trial_key(
-            "tree_poa",
+            "exact_poa",
             {"n": 6, "alpha": 4.5, "concept": Concept.PS, "k": None},
         )
         assert base != trial_key(
-            "tree_poa", {"n": 6, "alpha": "9/2", "concept": "PS", "k": 3}
+            "exact_poa", {"n": 6, "alpha": "9/2", "concept": "PS", "k": 3}
         )
         assert base != trial_key(
-            "graph_poa", {"n": 6, "alpha": "9/2", "concept": "PS"}
+            "dynamics", {"n": 6, "alpha": "9/2", "concept": "PS"}
         )
 
     def test_json_round_trip_is_lossless(self, tmp_path):
@@ -186,7 +191,7 @@ class TestStore:
     def test_duplicate_ok_record_is_refused(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         args = dict(
-            kind="tree_poa", params={"n": 6}, status="ok",
+            kind="exact_poa", params={"n": 6}, status="ok",
             result={"poa": Fraction(1)}, error=None, elapsed=0.1,
         )
         store.append(key="k1", **args)
@@ -219,12 +224,12 @@ class TestStore:
         assert len(keys) == len(set(keys)) == 2
 
     def test_error_records_not_fatal_and_retryable(self, tmp_path):
-        # graph_poa needs a positive n: n = 0 must error, not crash
+        # graph PoA needs a positive n: n = 0 must error, not crash
         # (n = 9 no longer errors — the canonical-key enumerator took
         # over past the atlas ceiling)
         spec = tiny_spec(
             grids=(
-                {"kind": "graph_poa", "n": [5, 0], "alpha": 2, "concept": "PS"},
+                {"family": "graphs", "n": [5, 0], "alpha": 2, "concept": "PS"},
             )
         )
         store_dir = tmp_path / "store"
@@ -516,7 +521,7 @@ class TestCli:
         assert cli_main(
             ["report", str(store), "--out", str(report_file)]
         ) == 0
-        assert "tree_poa" in report_file.read_text()
+        assert "exact_poa" in report_file.read_text()
 
     def test_status_on_partial_store_signals_pending(self, tmp_path, capsys):
         spec = tiny_spec(grids=({"n": 6, "alpha": [2, 3], "concept": "PS"},))
@@ -546,8 +551,9 @@ class TestNewRunnerKinds:
 
         reference = empirical_tree_poa(6, 4, Concept.PS)
         result = execute_trial(
-            "weighted_poa",
+            "exact_poa",
             {
+                "family": "trees",
                 "n": 6,
                 "alpha": Fraction(4),
                 "concept": Concept.PS,
@@ -562,16 +568,16 @@ class TestNewRunnerKinds:
     def test_weighted_poa_traffic_enters_the_trial_key(self):
         base = {"n": 6, "alpha": Fraction(2), "concept": Concept.PS}
         uniform = trial_key(
-            "weighted_poa", base | {"traffic": {"model": "uniform"}}
+            "exact_poa", base | {"traffic": {"model": "uniform"}}
         )
         hubbed = trial_key(
-            "weighted_poa",
+            "exact_poa",
             base | {"traffic": {"model": "broadcast", "sources": [0]}},
         )
         assert uniform != hubbed
         # key order inside the traffic spec does not matter
         reordered = trial_key(
-            "weighted_poa",
+            "exact_poa",
             base | {"traffic": {"sources": [0], "model": "broadcast"}},
         )
         assert hubbed == reordered
@@ -637,8 +643,13 @@ class TestNewRunnerKinds:
         alphas, rhos = [], []
         for alpha in (2, 4, 8, 16, 32, 64):
             key = trial_key(
-                "tree_poa",
-                {"n": 8, "alpha": Fraction(alpha), "concept": Concept.PS},
+                "exact_poa",
+                {
+                    "family": "trees",
+                    "n": 8,
+                    "alpha": Fraction(alpha),
+                    "concept": Concept.PS,
+                },
             )
             result = store.result(key)
             assert result is not None
@@ -650,9 +661,10 @@ class TestNewRunnerKinds:
     def test_weighted_campaign_bit_identical_across_workers(self, tmp_path):
         spec = CampaignSpec(
             name="weighted-workers",
-            kind="weighted_poa",
+            kind="exact_poa",
             grids=(
                 {
+                    "family": "trees",
                     "n": 6,
                     "alpha": [2, 4],
                     "concept": "PS",
@@ -787,7 +799,7 @@ class TestExactPoACampaigns:
 
         n, alphas = 5, [2, 3]
         report = {
-            "reducer": "exact_poa_table",
+            "reducer": "poa_table",
             "options": {
                 "n": n,
                 "alphas": alphas,

@@ -56,10 +56,15 @@ def claim_spec(**overrides) -> CampaignSpec:
     """A campaign small enough to race two hosts over in a unit test."""
     payload = dict(
         name="claimable",
-        kind="tree_poa",
+        kind="exact_poa",
         seed=7,
         grids=(
-            {"n": 6, "alpha": [2, "9/2"], "concept": ["PS", "BGE"]},
+            {
+                "family": "trees",
+                "n": 6,
+                "alpha": [2, "9/2"],
+                "concept": ["PS", "BGE"],
+            },
             {
                 "kind": "dynamics",
                 "concept": "PS",

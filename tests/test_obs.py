@@ -317,9 +317,16 @@ class TestTraceSpans:
 def tiny_campaign_spec() -> CampaignSpec:
     return CampaignSpec(
         name="obs-identity",
-        kind="tree_poa",
+        kind="exact_poa",
         seed=11,
-        grids=({"n": 5, "alpha": [2, "9/2"], "concept": ["PS", "BGE"]},),
+        grids=(
+            {
+                "family": "trees",
+                "n": 5,
+                "alpha": [2, "9/2"],
+                "concept": ["PS", "BGE"],
+            },
+        ),
     )
 
 
@@ -470,7 +477,7 @@ class TestCli:
         code = cli_main(["status", str(finished_store)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "tree_poa: 4/4 done" in out
+        assert "exact_poa: 4/4 done" in out
 
     def test_status_reports_per_shard_records(self, tmp_path, capsys):
         spec = tiny_campaign_spec()
@@ -498,7 +505,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "per-kind elapsed" in out
-        assert "tree_poa:" in out
+        assert "exact_poa:" in out
         assert "trace:" in out and "spans" in out
         assert "campaign.trial" in out
 
