@@ -1,9 +1,11 @@
 """Perf: weighted-totals maintenance overhead vs the uniform engine.
 
 The heterogeneous-traffic subsystem maintains a second per-row vector —
-``wtotals()[u] = sum_v W[u, v] * d(u, v)`` — through every ``apply_*`` /
-``undo``, and the speculative kernel evaluates candidates with weighted
-row dot products instead of plain row sums.  This benchmark times both
+``ftotals()[u] = sum_v W[u, v] * d(u, v)``, an identity-table
+:class:`~repro.core.costmodel.ModelOps` bound to the engine exactly as
+``GameState`` binds it — through every ``apply_*`` / ``undo``, and the
+speculative kernel evaluates candidates through the same model-value
+arithmetic instead of plain row sums.  This benchmark times both
 regimes on identical workloads:
 
 * ``engine_trajectory`` — replay one random add/remove trajectory
@@ -28,6 +30,7 @@ import random
 import time
 
 from repro.analysis.tables import render_table
+from repro.core.costmodel import LinearCost, ModelOps
 from repro.core.moves import AddEdge, RemoveEdge, Swap
 from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
@@ -69,8 +72,11 @@ def _time_trajectory(graph, ops, weights, repeats):
         if weights is None:
             dm.totals()  # materialise the maintained vector being timed
         else:
-            dm.bind_traffic(weights)
-            dm.wtotals()
+            n = dm.n
+            dm.bind_cost_model(
+                ModelOps(n, LinearCost().table(n), UNREACHABLE, weights=weights)
+            )
+            dm.ftotals()
         for op, u, v in ops:
             if op == "add":
                 dm.apply_add(u, v)
@@ -79,7 +85,7 @@ def _time_trajectory(graph, ops, weights, repeats):
         if weights is None:
             checksum = int(dm.totals().sum())
         else:
-            checksum = int(dm.wtotals().sum())
+            checksum = int(dm.ftotals().sum())
         best = min(best, time.perf_counter() - start)
     return best, checksum
 

@@ -268,10 +268,16 @@ def bse_upper_bound_via_dary_tree(
 def re_upper_bound_via_prop_3_1(state: GameState) -> Fraction:
     """Best Proposition 3.1 bound over all nodes of a connected RE graph.
 
-    The proposition's arithmetic is linear in raw distances, so it is
-    undefined for non-linear cost models — modeled states raise rather
-    than silently bounding the wrong game.
+    The proposition's arithmetic is linear in raw, unweighted distances,
+    so it is undefined for demand matrices and non-linear cost models —
+    weighted and modeled states raise rather than silently bounding the
+    wrong game with unweighted totals.
     """
+    if state.weighted:
+        raise ValueError(
+            "Proposition 3.1 bounds the uniform game; weighted states have "
+            "no closed-form RE bound"
+        )
     if state.modeled:
         raise ValueError(
             "Proposition 3.1 bounds the linear game; modeled states have "

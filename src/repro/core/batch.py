@@ -7,10 +7,10 @@ allocator overhead.  This module sweeps whole *runs* of same-type
 one-edge moves through three matrix-level kernels instead:
 
 * :func:`batch_add_gains` — the one-edge-add identity for all ``k``
-  candidate pairs in one ``(k, n)`` outer-min pass (uniform, weighted
-  ``W``-row-dot and :class:`~repro.core.costmodel.ModelOps` f-valued
-  variants, reusing the exact sentinel arithmetic of the per-candidate
-  path);
+  candidate pairs in one ``(k, n)`` outer-min pass (uniform and
+  :class:`~repro.core.costmodel.ModelOps`-valued variants — demand
+  matrices and cost models alike — reusing the exact sentinel
+  arithmetic of the per-candidate path);
 * :func:`batch_remove_losses` — bridge removals vectorised off the cut
   side masks (``d(x, other) < d(x, actor)`` rows to the sentinel, read
   straight off the cached matrix), non-bridge removals grouped by edge
@@ -21,9 +21,8 @@ one-edge moves through three matrix-level kernels instead:
   then the add identity ``min(row_a, 1 + row_n)`` and the value
   reduction vectorised across the group.
 
-The inner loops (outer-min sweep, BFS rows, weighted row dots) dispatch
-through :mod:`repro._backend`, so a numba arm accelerates them when
-registered.
+The uniform inner loops (outer-min sweep, BFS rows) dispatch through
+:mod:`repro._backend`, so a numba arm accelerates them when registered.
 
 **Bit-exactness contract.**  :func:`sweep_best` reproduces the
 sequential ``best`` loop exactly: the same candidates are evaluated (the
@@ -67,15 +66,13 @@ ENABLED = os.environ.get("REPRO_BATCH", "1") != "0"
 
 
 def _owned_rows_value(spec, owners: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Distance totals (model values when modeled) of a ``(k, n)`` row
-    stack whose row ``i`` belongs to agent ``owners[i]`` — the shared
-    value reduction of all three kernels, bit-identical per row to
-    ``SpeculativeEvaluator.row_dist``."""
+    """Distance totals (model values under a traffic or cost model) of a
+    ``(k, n)`` row stack whose row ``i`` belongs to agent ``owners[i]`` —
+    the shared value reduction of all three kernels, bit-identical per
+    row to ``SpeculativeEvaluator.row_dist``."""
     if spec._ops is not None:
         return spec._ops.rows_value_owned(owners, rows)
-    if spec._weights is None:
-        return rows.sum(axis=1)
-    return _active_backend().weighted_row_dots(spec._weights[owners], rows)
+    return rows.sum(axis=1)
 
 
 def batch_add_gains(
@@ -85,9 +82,9 @@ def batch_add_gains(
 
     One vectorised outer-min pass over the cached matrix per direction —
     entry ``i`` equals ``spec.add_gain_pair(us[i], vs[i])`` exactly
-    (uniform: the backend add sweep; weighted: the backend's
-    demand-weighted sweep; modeled: ``min(row_u, 1 + row_v)`` blocks
-    through the model's sentinel-exact value map).
+    (uniform: the backend add sweep; weighted or modeled:
+    ``min(row_u, 1 + row_v)`` blocks through the model's sentinel-exact
+    value map).
     """
     matrix = spec.engine.matrix
     if spec._ops is not None:
@@ -100,14 +97,9 @@ def batch_add_gains(
             base[vs] - ops.rows_value_owned(vs, new_v),
         )
     backend = _active_backend()
-    if spec._weights is None:
-        return (
-            backend.add_gains(matrix, us, vs),
-            backend.add_gains(matrix, vs, us),
-        )
     return (
-        backend.weighted_add_gains(matrix, spec._weights, us, vs),
-        backend.weighted_add_gains(matrix, spec._weights, vs, us),
+        backend.add_gains(matrix, us, vs),
+        backend.add_gains(matrix, vs, us),
     )
 
 

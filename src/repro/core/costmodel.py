@@ -28,8 +28,9 @@ Exactness contract (mirrors :mod:`repro.core.traffic`):
   positive-demand pair dominates any buying saving plus any real value
   total);
 * :class:`LinearCost` *is* the paper's game: ``state.modeled`` stays
-  ``False`` and every layer dispatches to the original (un)weighted code
-  paths — the byte-exact equivalence guarantee, same discipline as
+  ``False``, uniform states keep the plain row-sum code paths and
+  weighted ones run :class:`ModelOps` with the identity table (sentinel
+  ``M``) — the byte-exact equivalence guarantee, same discipline as
   ``TrafficMatrix.uniform``;
 * monotonicity is what keeps the searchers' pruning sound: removals only
   grow distances, so with ``f`` non-decreasing they only grow model
@@ -297,7 +298,10 @@ class ModelOps:
     least ``n`` — map to the value sentinel ``F``), and the ``*_value``
     helpers aggregate per-agent rows under the model's demand weighting.
     ``weights is None`` means uniform demand (all off-diagonal 1; the
-    diagonal contributes ``f(0) = 0`` either way).
+    diagonal contributes ``f(0) = 0`` either way); otherwise it is an
+    int64 ``(n, n)`` demand matrix.  Weighted-linear states bind the
+    identity table with the distance sentinel ``M`` as the value
+    sentinel, so ``apply_f`` is the identity on every engine entry.
     """
 
     __slots__ = ("n", "table", "unreachable_value", "weights", "aggregate")
@@ -321,6 +325,17 @@ class ModelOps:
             raise ValueError(
                 "the value sentinel must exceed every real table value"
             )
+        if weights is not None:
+            weights = np.asarray(weights)
+            if weights.shape != (self.n, self.n):
+                raise ValueError(
+                    f"demand matrix shape {weights.shape} does not match "
+                    f"n={self.n}"
+                )
+            if weights.dtype != np.int64:
+                raise ValueError(
+                    "demand matrix must be int64 (exact arithmetic)"
+                )
         self.weights = weights
         self.aggregate = aggregate
 

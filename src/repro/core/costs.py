@@ -6,24 +6,20 @@ comparing an integer against ``alpha * (k2 - k1)``, which Python evaluates
 exactly on ``Fraction``s — no floating point is involved anywhere in an
 equilibrium decision.
 
-Under a heterogeneous traffic model the distance total is the weighted
-``d = sum_v W[u, v] * dist(u, v)`` — still an exact integer, so the same
-comparison applies.  Every helper here reads the state's traffic model:
-none of them silently assumes uniform demand, and callers that mix a
-weighted state with unweighted totals get weighted answers, not wrong
-ones.
-
-Under a pluggable cost model the distance total is the model value
-``sum_v W[u, v] * f(dist(u, v))`` (or the max aggregate) — the same
-no-silent-mixing guarantee holds: :func:`weighted_dist_total` is the one
-place a raw distance row becomes a cost term, and it dispatches on
-``state.modeled`` *before* the traffic model, so no caller of these
-helpers (``agent_cost_after``, ``dist_totals_after``,
-``strictly_improves``, certificate verifiers, tests) can ever sum raw
-distances against a non-linear state.  The only linear-by-definition
-quantities left in the repo — ``GameState.rho()``,
-``DynamicsResult.rho_trace``, the Prop. 3.1 RE bound — raise on modeled
-states instead of silently comparing against the linear optimum.
+Under a heterogeneous traffic model or a pluggable cost model the
+distance total is the model value ``sum_v W[u, v] * f(dist(u, v))`` (or
+the max aggregate; ``f`` is the identity for weighted-linear costs) —
+still an exact integer, so the same comparison applies.  No helper here
+silently assumes uniform linear costs: :func:`weighted_dist_total` is
+the one place a raw distance row becomes a cost term, and it dispatches
+on the state's :class:`~repro.core.costmodel.ModelOps`
+(``state.value_ops``), so no caller of these helpers
+(``agent_cost_after``, ``dist_totals_after``, ``strictly_improves``,
+certificate verifiers) can ever sum raw distances against a weighted or
+non-linear state.  The only uniform-linear-by-definition quantities left
+in the repo — ``GameState.rho()``, ``DynamicsResult.rho_trace``, the
+Prop. 3.1 RE bound — raise on weighted and modeled states instead of
+silently comparing against the uniform linear optimum.
 """
 
 from __future__ import annotations
@@ -66,16 +62,14 @@ def weighted_dist_total(state: GameState, u: int, dist: np.ndarray) -> int:
 
     ``dist`` is a fresh distance row (e.g. from
     :func:`~repro.graphs.distances.single_source_distances`).  The single
-    dispatch point where raw distances become cost terms: modeled states
-    route through the model's value arithmetic (so no caller can mix a
-    non-linear state with linear totals), weighted states take the demand
-    dot product, uniform states the plain row sum — bit-identical to the
-    historical behaviour.
+    dispatch point where raw distances become cost terms: weighted and
+    modeled states route through the model-value arithmetic (so no caller
+    can mix them with uniform linear totals), uniform linear states take
+    the plain row sum — bit-identical to the historical behaviour.
     """
-    if state.modeled:
-        return state.model_ops.row_value(u, np.asarray(dist))
-    if state.weighted:
-        return int((state.traffic.weights[u] * dist).sum())
+    ops = state.value_ops
+    if ops is not None:
+        return ops.row_value(u, np.asarray(dist))
     return int(dist.sum())
 
 

@@ -45,26 +45,22 @@ Contract (extends the PR-1 engine contract):
   is only mutated *through* its own speculation scopes; apply a move for
   real and the evaluator must be rebuilt.
 
-* **heterogeneous traffic** — when the state carries a non-uniform
-  :class:`~repro.core.traffic.TrafficMatrix`, every distance total above
-  becomes the demand-weighted row dot product ``sum_v W[u, v] * d(u, v)``
-  (base snapshots, live deltas, rows-only evaluations and
-  :class:`Fold` totals alike), and the per-agent distance floor used by
-  the searchers' size pruning becomes the agent's demand mass.  Uniform
-  states bypass all weighted arithmetic and stay bit-exact with the
-  historical behaviour.
-* **pluggable cost models** — when the state carries a non-linear
-  :class:`~repro.core.costmodel.CostModel`, every "distance total" above
-  is the model value ``sum_v W[u, v] * f(d(u, v))`` (or the max
-  aggregate): base snapshots, live reads, rows-only evaluations and
+* **traffic and cost models** — when the state carries a
+  :class:`~repro.core.costmodel.ModelOps` (``state.value_ops``: a
+  non-uniform :class:`~repro.core.traffic.TrafficMatrix`, a non-linear
+  :class:`~repro.core.costmodel.CostModel`, or both), every "distance
+  total" above is the model value ``sum_v W[u, v] * f(d(u, v))`` (or the
+  max aggregate): base snapshots, live reads, rows-only evaluations and
   :class:`Fold` totals all map hypothetical distance rows through the
   model's int table at the aggregation boundary — the rows themselves
   stay raw distances, so the add identity and the bridge split are
-  untouched.  The pruning floor generalises to the model's
+  untouched.  Demand-weighted linear costs are the identity table with
+  the distance sentinel ``M`` as value sentinel, so their totals are the
+  exact weighted row dots.  The pruning floor generalises to the model's
   ``floors()`` (demand mass times ``f(1)``, max-weight times ``f(1)``
   for max aggregates), sound because ``f`` is monotone: removals only
-  grow distances, hence only grow model values.  Linear models keep
-  every historical code path bit-exactly.
+  grow distances, hence only grow model values.  The uniform linear game
+  keeps the plain row sums bit-exactly.
 
 The module-level :data:`EVALUATIONS` spy counts candidate evaluations so
 tests can assert that a refactored searcher inspects exactly the same
@@ -82,7 +78,6 @@ import numpy as np
 
 from repro.core.moves import AddEdge, Move, RemoveEdge, Swap
 from repro.core.state import GameState
-from repro.graphs.distances import weighted_added_edge_dist_gain
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 
@@ -152,18 +147,11 @@ class SpeculativeEvaluator:
         self.engine = state.dist  # materialises the cached APSP once
         self.graph = state.graph  # the same object the engine mutates
         self.alpha = state.alpha
-        # a non-linear cost model routes every total below through its
-        # value arithmetic; the weighted-linear branch is then never
-        # taken (the ops object owns the demand matrix itself)
-        self._ops = state.model_ops if state.modeled else None
-        # heterogeneous traffic: a non-uniform demand matrix switches
-        # every distance total below to the weighted row dot product;
-        # uniform states keep the historical plain row sums bit-exactly
-        self._weights = (
-            state.traffic.weights
-            if state.weighted and self._ops is None
-            else None
-        )
+        # demand matrices and non-linear cost models route every total
+        # below through the model-value arithmetic (the ops object owns
+        # the demand matrix); the uniform linear game keeps the plain
+        # row sums bit-exactly
+        self._ops = state.value_ops
         # plain-int snapshots: row sums read straight off the matrix (no
         # forced materialisation of the engine's incremental totals) and
         # the adjacency dict the engine mutates in place, so per-candidate
@@ -177,22 +165,11 @@ class SpeculativeEvaluator:
             # >= 1 and f is monotone, so no value total can ever drop
             # below mass * f(1) (max-weight * f(1) for max aggregates)
             self._floors = [int(value) for value in self._ops.floors()]
-        elif self._weights is None:
+        else:
             self._base_totals = [
                 int(value) for value in self.engine.matrix.sum(axis=1)
             ]
             self._floors = None
-        else:
-            self._base_totals = [
-                int(value)
-                for value in (self.engine.matrix * self._weights).sum(axis=1)
-            ]
-            # each positive-demand destination sits at distance >= 1, so
-            # an agent's weighted distance total can never drop below its
-            # demand mass — the weighted analogue of the n - 1 floor
-            self._floors = [
-                int(value) for value in self._weights.sum(axis=1)
-            ]
         # int64 view of the base totals for the batch kernels' vectorised
         # delta arithmetic (repro.core.batch)
         self._base_totals_arr = np.asarray(self._base_totals, dtype=np.int64)
@@ -260,11 +237,10 @@ class SpeculativeEvaluator:
     def current_dist(self, agent: int) -> int:
         """``agent``'s distance total (model value when modeled) on the
         live matrix."""
+        row = self.engine.matrix[agent]
         if self._ops is not None:
-            return self._ops.row_value(agent, self.engine.matrix[agent])
-        if self._weights is None:
-            return int(self.engine.matrix[agent].sum())
-        return int((self._weights[agent] * self.engine.matrix[agent]).sum())
+            return self._ops.row_value(agent, row)
+        return int(row.sum())
 
     def dist_floor(self, agent: int) -> int:
         """The smallest distance total ``agent`` can ever reach.
@@ -283,9 +259,7 @@ class SpeculativeEvaluator:
         distance row."""
         if self._ops is not None:
             return self._ops.row_value(agent, row)
-        if self._weights is None:
-            return int(row.sum())
-        return int((self._weights[agent] * row).sum())
+        return int(row.sum())
 
     def dist_delta(self, agent: int) -> int:
         """Exact change in ``agent``'s total distance cost."""
@@ -505,20 +479,14 @@ class SpeculativeEvaluator:
                 self._ops.row_value(v, matrix[v])
                 - self._ops.row_value(v, new_v),
             )
-        if self._weights is None:
-            return self.engine.add_gain(u, v), self.engine.add_gain(v, u)
-        matrix = self.engine.matrix
-        return (
-            weighted_added_edge_dist_gain(matrix, self._weights[u], u, v),
-            weighted_added_edge_dist_gain(matrix, self._weights[v], v, u),
-        )
+        return self.engine.add_gain(u, v), self.engine.add_gain(v, u)
 
     def remove_loss_pair(self, u: int, v: int) -> tuple[int, int]:
         """(Weighted/model-valued) distance losses of both endpoints when
         edge ``uv`` is removed (a matrix read for bridges — each side
         charged by its demand mass toward the far side — one batched BFS
         on the cached CSR otherwise; no mutation)."""
-        if self._weights is None and self._ops is None:
+        if self._ops is None:
             return self.engine.remove_loss_pair(u, v)
         row_u, row_v = self.engine.rows_after_remove(u, v)
         return (
@@ -539,31 +507,23 @@ class SpeculativeEvaluator:
         pushed deltas are reflected), after which whole addition subsets
         — and removal subsets whose dropped edges are bridges of the
         folded graph — evaluate without touching the engine at all.
-        Under a traffic model the fold carries the tracked agents'
-        demand rows, so its ``dist_total`` answers are weighted; under a
-        cost model it carries the model's value map and aggregate, so
+        Under a traffic or cost model the fold carries the model-value
+        arithmetic and the tracked agents' demand rows, so its
         ``dist_total`` answers are model values (the rows themselves stay
         raw distances — extend/split are untouched).
         """
         order = list(nodes)
         index = {node: position for position, node in enumerate(order)}
-        if self._ops is not None:
-            weights = (
-                None
-                if self._ops.weights is None
-                else self._ops.weights[order]
-            )
-            return Fold(
-                index,
-                self.engine.matrix[order],
-                self.engine.unreachable,
-                weights,
-                f_apply=self._ops.apply_f,
-                f_max=self._ops.aggregate == "max",
-            )
-        weights = None if self._weights is None else self._weights[order]
+        ops = self._ops
+        weights = None
+        if ops is not None and ops.weights is not None:
+            weights = ops.weights[order]
         return Fold(
-            index, self.engine.matrix[order], self.engine.unreachable, weights
+            index,
+            self.engine.matrix[order],
+            self.engine.unreachable,
+            ops,
+            weights,
         )
 
 
@@ -599,29 +559,26 @@ class Fold:
     (:meth:`SpeculativeEvaluator.best`).
     """
 
-    __slots__ = (
-        "_index", "_rows", "_unreachable", "_weights", "_f_apply", "_f_max"
-    )
+    __slots__ = ("_index", "_rows", "_unreachable", "_ops", "_weights")
 
     def __init__(
         self,
         index: dict,
         rows: np.ndarray,
         unreachable: int,
+        ops=None,
         weights: np.ndarray | None = None,
-        f_apply=None,
-        f_max: bool = False,
     ):
         self._index = index
         self._rows = rows
         self._unreachable = unreachable
+        # model-value arithmetic (None: the uniform linear game's plain
+        # row sums); rows stay raw distances, the values apply only
+        # inside dist_total
+        self._ops = ops
         # demand rows of the tracked nodes (aligned with ``rows``); None
-        # means uniform traffic and plain row sums
+        # means uniform demand
         self._weights = weights
-        # cost-model value map and aggregate flag: rows stay raw
-        # distances, the map applies only inside dist_total
-        self._f_apply = f_apply
-        self._f_max = f_max
 
     def restrict(self, nodes: Sequence[int]) -> "Fold":
         """A fold tracking only ``nodes`` (e.g. drop removable-edge
@@ -633,9 +590,8 @@ class Fold:
             index,
             self._rows[positions],
             self._unreachable,
+            self._ops,
             None if self._weights is None else self._weights[positions],
-            f_apply=self._f_apply,
-            f_max=self._f_max,
         )
 
     def extend(self, u: int, v: int) -> "Fold":
@@ -646,10 +602,7 @@ class Fold:
         row_v = rows[index[v]]
         folded = np.minimum(rows, rows[:, u, None] + (row_v + 1))
         np.minimum(folded, rows[:, v, None] + (row_u + 1), out=folded)
-        return Fold(
-            index, folded, self._unreachable, self._weights,
-            f_apply=self._f_apply, f_max=self._f_max,
-        )
+        return Fold(index, folded, self._unreachable, self._ops, self._weights)
 
     def split(self, u: int, v: int) -> "Fold":
         """A new fold with bridge ``uv`` removed (endpoints tracked).
@@ -672,23 +625,18 @@ class Fold:
         cross |= tracked_v_side[:, None] & cols_u_side[None, :]
         folded = rows.copy()
         folded[cross] = self._unreachable
-        return Fold(
-            index, folded, self._unreachable, self._weights,
-            f_apply=self._f_apply, f_max=self._f_max,
-        )
+        return Fold(index, folded, self._unreachable, self._ops, self._weights)
 
     def dist_total(self, node: int) -> int:
-        """Exact distance total (model value when a cost model is bound)
-        of a tracked node under the folded deltas."""
+        """Exact distance total (model value under a traffic or cost
+        model) of a tracked node under the folded deltas."""
         position = self._index[node]
         row = self._rows[position]
-        if self._f_apply is not None:
-            values = self._f_apply(row)
-            if self._weights is not None:
-                values = self._weights[position] * values
-            if self._f_max:
-                return int(values.max())
-            return int(values.sum())
-        if self._weights is None:
+        if self._ops is None:
             return int(row.sum())
-        return int((self._weights[position] * row).sum())
+        values = self._ops.apply_f(row)
+        if self._weights is not None:
+            values = self._weights[position] * values
+        if self._ops.aggregate == "max":
+            return int(values.max())
+        return int(values.sum())

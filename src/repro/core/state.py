@@ -19,7 +19,7 @@ import networkx as nx
 import numpy as np
 
 from repro._alpha import AlphaLike, as_alpha, big_m, fits_int64
-from repro.core.costmodel import CostModel, ModelOps
+from repro.core.costmodel import CostModel, LinearCost, ModelOps
 from repro.core.traffic import TrafficMatrix
 from repro.graphs.distances import DistanceMatrix, canonical_labels
 from repro.graphs.trees import is_tree
@@ -45,13 +45,15 @@ class GameState:
         matrix switches every cost to
         ``alpha * deg(u) + sum_v W[u, v] * d(u, v)`` with the big
         constant ``M`` re-sized so disconnecting any positive-demand
-        pair still dominates every possible saving.
+        pair still dominates every possible saving.  Weighted costs run
+        through the model-value arithmetic (:attr:`value_ops`) with the
+        identity table, whose value sentinel is ``M`` itself.
     cost_model:
         Optional :class:`~repro.core.costmodel.CostModel` replacing the
         linear distance term by ``sum_v W[u, v] * f(d(u, v))`` (or the
         max aggregate) for a monotone int-valued ``f``.  ``None`` and
         :class:`~repro.core.costmodel.LinearCost` (``is_linear``) give
-        the paper's game through the original code paths byte-exactly;
+        the paper's linear game byte-exactly;
         any other model flips :attr:`modeled` and routes every layer
         through the model's value arithmetic, with unreachable pairs
         carrying the model's own value sentinel ``F`` (the distance
@@ -130,6 +132,16 @@ class GameState:
                 weights=self.traffic.weights if self.weighted else None,
                 aggregate=cost_model.aggregate,
             )
+        elif self.weighted:
+            # the identity table maps every real distance (< n) to itself
+            # and the sentinel M (the only entry >= n) to M, so weighted
+            # totals, deltas and verdicts keep their int64 values exactly
+            self._model_ops = ModelOps(
+                self.n,
+                LinearCost().table(self.n),
+                unreachable_value=self.m_constant,
+                weights=traffic.weights,
+            )
         self._dist: DistanceMatrix | None = None
 
     # -- structure ---------------------------------------------------------
@@ -140,7 +152,8 @@ class GameState:
 
         Uniform traffic (``None`` or ``TrafficMatrix.uniform``) keeps
         every layer on the original unweighted code paths — the
-        byte-exact equivalence guarantee.
+        byte-exact equivalence guarantee.  Sizes ``M`` and guards
+        :meth:`rho`; cost arithmetic dispatches on :attr:`value_ops`.
         """
         return self.traffic is not None and not self.traffic.is_uniform
 
@@ -148,17 +161,29 @@ class GameState:
     def modeled(self) -> bool:
         """Whether a non-linear cost model governs this state's costs.
 
-        ``None`` and ``LinearCost`` keep every layer on the original
-        (un)weighted code paths — the byte-exact equivalence guarantee,
-        mirroring :attr:`weighted` for uniform traffic.
+        ``None`` and ``LinearCost`` keep the linear game — the byte-exact
+        equivalence guarantee, mirroring :attr:`weighted` for uniform
+        traffic.  Guards :meth:`rho`; cost arithmetic dispatches on
+        :attr:`value_ops`.
         """
         return self.cost_model is not None and not self.cost_model.is_linear
 
     @property
+    def value_ops(self) -> ModelOps | None:
+        """The model-value arithmetic every cost goes through, or ``None``.
+
+        ``None`` exactly for the paper's uniform linear game, which keeps
+        the plain row-sum code paths; weighted and modeled states carry a
+        :class:`~repro.core.costmodel.ModelOps`.  The one predicate every
+        arithmetic site branches on.
+        """
+        return self._model_ops
+
+    @property
     def model_ops(self) -> ModelOps:
-        """The bound model-value arithmetic (modeled states only)."""
+        """:attr:`value_ops`, raising on uniform linear states."""
         if self._model_ops is None:
-            raise ValueError("this state has no non-linear cost model")
+            raise ValueError("this state carries no ModelOps (uniform linear)")
         return self._model_ops
 
     @property
@@ -166,8 +191,6 @@ class GameState:
         """Cached all-pairs distances (``M`` for disconnected pairs)."""
         if self._dist is None:
             self._dist = DistanceMatrix(self.graph, self.m_constant)
-            if self.weighted:
-                self._dist.bind_traffic(self.traffic.weights)
             if self._model_ops is not None:
                 self._dist.bind_cost_model(self._model_ops)
         return self._dist
@@ -218,10 +241,8 @@ class GameState:
         ``F`` sentinel when modeled).  Served by the engine's
         incrementally maintained totals in every regime.
         """
-        if self.modeled:
+        if self._model_ops is not None:
             return self.dist.ftotal(u)
-        if self.weighted:
-            return self.dist.wtotal(u)
         return self.dist.total(u)
 
     def cost(self, u: int) -> Fraction:
@@ -230,10 +251,8 @@ class GameState:
 
     def social_cost(self) -> Fraction:
         """``sum_u cost(u) = 2 * alpha * m + sum_u dist(u)``."""
-        if self.modeled:
+        if self._model_ops is not None:
             total_dist = int(self.dist.ftotals().sum())
-        elif self.weighted:
-            total_dist = int(self.dist.wtotals().sum())
         else:
             total_dist = int(self.dist.totals().sum())
         return 2 * self.alpha * self.graph.number_of_edges() + total_dist

@@ -47,10 +47,7 @@ from repro.equilibria.neighborhood import (
     find_improving_neighborhood_move,
     probe_neighborhood_moves,
 )
-from repro.equilibria.remove import (
-    modeled_improving_removals,
-    weighted_improving_removals,
-)
+from repro.equilibria.remove import valued_improving_removals
 from repro.equilibria.strong import probe_coalition_moves
 from repro.equilibria.swap import viable_swap_partners
 from repro.graphs.distances import adjacency_bool
@@ -60,18 +57,12 @@ __all__ = ["improving_moves", "move_generator_for"]
 
 
 def _improving_removals(state: GameState) -> Iterator[RemoveEdge]:
-    if state.modeled:
+    if state.value_ops is not None:
         # model values can be indifferent to a disconnection (zero demand
         # across the cut, or a max objective already pinned elsewhere), so
-        # every edge is charged through the model; shared with the RE
-        # checker so the two cannot disagree
-        yield from modeled_improving_removals(state)
-        return
-    if state.weighted:
-        # zero demand toward a bridge's far side makes its removal free,
-        # so bridges cannot be skipped; the scan is shared with the RE
-        # checker (repro.equilibria.remove) so the two cannot disagree
-        yield from weighted_improving_removals(state)
+        # bridges cannot be skipped and every edge is charged through the
+        # model; shared with the RE checker so the two cannot disagree
+        yield from valued_improving_removals(state)
         return
     dm = state.dist
     for u, v in list(state.graph.edges):
@@ -133,16 +124,8 @@ def _improving_swaps_general(state: GameState) -> Iterator[Swap]:
     never leave the shared matrix in a speculative state.
     """
     dm = state.dist
-    valuer = state.model_ops if state.modeled else None
-    weights = (
-        state.traffic.weights if state.weighted and valuer is None else None
-    )
-    if valuer is not None:
-        totals = dm.ftotals()
-    elif state.weighted:
-        totals = dm.wtotals()
-    else:
-        totals = dm.totals()
+    valuer = state.value_ops
+    totals = dm.totals() if valuer is None else dm.ftotals()
     threshold = strict_gt_threshold(state.alpha)
     adjacency = adjacency_bool(state.graph)
     for a, b in list(state.graph.edges):
@@ -157,7 +140,7 @@ def _improving_swaps_general(state: GameState) -> Iterator[Swap]:
             for actor, old in ((a, b), (b, a)):
                 for new in viable_swap_partners(
                     removed, totals, adjacency, threshold, actor, old,
-                    weights=weights, valuer=valuer,
+                    valuer=valuer,
                 ):
                     found.append(Swap(actor=actor, old=old, new=int(new)))
         finally:
@@ -170,7 +153,7 @@ def _improving_swaps(state: GameState) -> Iterator[Swap]:
     # the closed-form tree path vectorises uniform linear side sums;
     # weighted and modeled states take the general engine path
     # (mutation-free on trees, where every edge is a bridge)
-    if state.is_tree() and not state.weighted and not state.modeled:
+    if state.value_ops is None and state.is_tree():
         yield from _improving_swaps_tree(state)
     else:
         yield from _improving_swaps_general(state)

@@ -75,8 +75,8 @@ def partner_gain_upper_bound(state: GameState, partner: int, center: int) -> int
     the agent's model floor.
     """
     row = state.dist.row(partner)
-    if state.modeled:
-        ops = state.model_ops
+    ops = state.value_ops
+    if ops is not None:
         if ops.aggregate == "max":
             # coarse but sound: the max value can never drop below the
             # agent's floor (max-weight * f(1))
@@ -101,13 +101,6 @@ def partner_gain_upper_bound(state: GameState, partner: int, center: int) -> int
         return bound
     slack = row - 2
     to_center = int(row[center])
-    if state.weighted:
-        weights = state.traffic.weights[partner]
-        bound = int((weights * np.maximum(slack, 0)).sum())
-        w_center = int(weights[center])
-        bound -= w_center * max(0, to_center - 2)
-        bound += w_center * max(0, to_center - 1)
-        return bound
     bound = int(slack[slack > 0].sum())
     # correct the center term: admissible floor is 1, not 2
     bound -= max(0, to_center - 2)

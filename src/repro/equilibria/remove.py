@@ -15,17 +15,16 @@ shortcuts that case.
 
 **Heterogeneous traffic** changes the bridge story: an agent with *zero*
 demand toward a bridge's far side pays nothing for the disconnection, so
-bridge removals can be improving and must be evaluated, not skipped.  The
-weighted checker charges each bridge removal through the engine's
-search-free two-component split — the far side's entries jump to the
-``M`` sentinel and the loss is the actor's demand mass toward that side
-times ``M`` minus the saved real distances — and only non-bridges pay a
-probe BFS, exactly like the uniform path.
-
-**Non-linear cost models** reuse the same every-edge scan with losses
-read through the model's value arithmetic (a zero-demand cut side makes
-a bridge droppable there too, and a max aggregate can be entirely
-indifferent to a removal).
+bridge removals can be improving and must be evaluated, not skipped.
+**Non-linear cost models** likewise: a max aggregate can be entirely
+indifferent to a removal.  Every state carrying a
+:class:`~repro.core.costmodel.ModelOps` (``state.value_ops``) therefore
+takes one every-edge scan, :func:`valued_improving_removals`: each
+bridge removal is charged through the engine's search-free
+two-component split — the far side's entries jump to the ``M``
+sentinel, mapped to the model's value sentinel (``M`` itself for
+weighted-linear costs) — and only non-bridges pay a probe BFS, exactly
+like the uniform path.
 """
 
 from __future__ import annotations
@@ -38,9 +37,8 @@ from repro.core.state import GameState
 __all__ = [
     "find_improving_removal",
     "is_remove_equilibrium",
-    "modeled_improving_removals",
     "removal_loss",
-    "weighted_improving_removals",
+    "valued_improving_removals",
 ]
 
 
@@ -48,47 +46,23 @@ def removal_loss(state: GameState, actor: int, other: int) -> int:
     """(Weighted/model-valued) distance-cost increase for ``actor`` when
     edge ``actor-other`` goes."""
     after = state.dist.row_after_remove(actor, other)
-    if state.modeled:
-        ops = state.model_ops
+    ops = state.value_ops
+    if ops is not None:
         return ops.row_value(actor, after) - ops.row_value(
             actor, state.dist.row(actor)
         )
-    if state.weighted:
-        weights = state.traffic.weights[actor]
-        return int((weights * (after - state.dist.row(actor))).sum())
     return int((after - state.dist.row(actor)).sum())
 
 
-def weighted_improving_removals(state: GameState) -> Iterator[RemoveEdge]:
-    """All improving removals of a *weighted* state, enumeration order.
+def valued_improving_removals(state: GameState) -> Iterator[RemoveEdge]:
+    """All improving removals of a weighted or modeled state, enumeration
+    order.
 
-    Evaluates every edge — bridges included, through the engine's
-    mutation-free split weighting each side's demand mass (zero demand
-    across the cut makes a bridge droppable).  Losses are demand-weighted
-    row diffs straight off the engine (no per-round totals snapshot),
-    and the single scan is shared by the RE checker and the removal move
-    generator so the two can never disagree.
-    """
-    dm = state.dist
-    weights = state.traffic.weights
-    for u, v in list(state.graph.edges):
-        row_u, row_v = dm.rows_after_remove(u, v)
-        loss_u = int((weights[u] * (row_u - dm.matrix[u])).sum())
-        loss_v = int((weights[v] * (row_v - dm.matrix[v])).sum())
-        for actor, other, loss in ((u, v, loss_u), (v, u, loss_v)):
-            if loss < state.alpha:
-                yield RemoveEdge(actor=actor, other=other)
-                break  # the edge can only be removed once
-
-
-def modeled_improving_removals(state: GameState) -> Iterator[RemoveEdge]:
-    """All improving removals of a *modeled* state, enumeration order.
-
-    The cost-model analogue of :func:`weighted_improving_removals`: every
-    edge — bridges included — is charged through the engine's
-    mutation-free removal query, with both endpoints' losses read as
-    model-value diffs.  Shared by the RE checker and the removal move
-    generator so the two can never disagree.
+    Every edge — bridges included — is charged through the engine's
+    mutation-free removal query (zero demand across a bridge's cut makes
+    it droppable), with both endpoints' losses read as model-value diffs
+    straight off the engine.  Shared by the RE checker and the removal
+    move generator so the two can never disagree.
     """
     dm = state.dist
     ops = state.model_ops
@@ -112,13 +86,10 @@ def find_improving_removal(state: GameState) -> RemoveEdge | None:
     path the kernel's
     :meth:`~repro.core.speculative.SpeculativeEvaluator.remove_loss_pair`
     delegates to (one BFS pair per edge; the graph is never mutated).
-    Weighted states take :func:`weighted_improving_removals`; modeled
-    states :func:`modeled_improving_removals`.
+    Weighted and modeled states take :func:`valued_improving_removals`.
     """
-    if state.modeled:
-        return next(modeled_improving_removals(state), None)
-    if state.weighted:
-        return next(weighted_improving_removals(state), None)
+    if state.value_ops is not None:
+        return next(valued_improving_removals(state), None)
     if state.is_tree():
         return None  # removing any tree edge disconnects: loss >= M > alpha
     dm = state.dist

@@ -43,7 +43,6 @@ def viable_swap_partners(
     threshold: int,
     actor: int,
     old: int,
-    weights: np.ndarray | None = None,
     valuer=None,
 ) -> np.ndarray:
     """Partners ``w`` for which swap ``(actor, old -> w)`` is improving.
@@ -52,13 +51,11 @@ def viable_swap_partners(
     from the one-edge-add identity.  Shared by the BSwE checker and the swap
     move generator so the two can never disagree.  Ascending node order.
 
-    With a demand matrix ``weights``, ``totals`` must be the *weighted*
-    base totals and both gain vectors weight each candidate row by the
-    owner's demand row — the same ``O(n^2)`` evaluation, one extra
-    elementwise product.  With a ``valuer``
-    (:class:`~repro.core.costmodel.ModelOps`), ``totals`` must be the
-    model aggregates and gains are model-value drops of the hypothetical
-    rows — the candidate rows themselves stay raw distances.
+    With a ``valuer`` (the state's
+    :class:`~repro.core.costmodel.ModelOps` under a traffic or cost
+    model), ``totals`` must be the model aggregates and gains are
+    model-value drops of the hypothetical rows — the candidate rows
+    themselves stay raw distances.
     """
     # actor's new distances with partner w:  min(rm[actor], 1 + rm[w])
     actor_rows = np.minimum(removed[actor][None, :], 1 + removed)
@@ -67,12 +64,9 @@ def viable_swap_partners(
     if valuer is not None:
         gain_actor = int(totals[actor]) - valuer.rows_value(actor, actor_rows)
         gain_w = totals - valuer.rows_value_per_owner(partner_rows)
-    elif weights is None:
+    else:
         gain_actor = int(totals[actor]) - actor_rows.sum(axis=1)
         gain_w = totals - partner_rows.sum(axis=1)
-    else:
-        gain_actor = int(totals[actor]) - actor_rows @ weights[actor]
-        gain_w = totals - (partner_rows * weights).sum(axis=1)
     viable = (gain_actor >= 1) & (gain_w >= threshold)
     viable[actor] = False
     viable[old] = False
@@ -126,16 +120,8 @@ def _find_swap_tree(state: GameState) -> Swap | None:
 
 def _find_swap_general(state: GameState) -> Swap | None:
     dm = state.dist
-    valuer = state.model_ops if state.modeled else None
-    weights = (
-        state.traffic.weights if state.weighted and valuer is None else None
-    )
-    if valuer is not None:
-        totals = dm.ftotals()
-    elif state.weighted:
-        totals = dm.wtotals()
-    else:
-        totals = dm.totals()
+    valuer = state.value_ops
+    totals = dm.totals() if valuer is None else dm.ftotals()
     w_threshold = strict_gt_threshold(state.alpha)
     graph = state.graph
     adjacency = adjacency_bool(graph)
@@ -153,7 +139,7 @@ def _find_swap_general(state: GameState) -> Swap | None:
             for actor, old in ((a, b), (b, a)):
                 candidates = viable_swap_partners(
                     removed, totals, adjacency, w_threshold, actor, old,
-                    weights=weights, valuer=valuer,
+                    valuer=valuer,
                 )
                 if candidates.size:
                     return Swap(actor=actor, old=old, new=int(candidates[0]))
@@ -166,14 +152,14 @@ def _find_swap_general(state: GameState) -> Swap | None:
 def find_improving_swap(state: GameState) -> Swap | None:
     """First mutually improving swap, or ``None`` (exact).
 
-    Weighted and modeled states always take the general engine-backed
-    path: the closed-form tree evaluation vectorises over *uniform
-    linear* side sums, and on trees every edge is a bridge anyway, so
-    the general path stays mutation-free there.
+    Weighted and modeled states (``state.value_ops``) always take the
+    general engine-backed path: the closed-form tree evaluation
+    vectorises over *uniform linear* side sums, and on trees every edge
+    is a bridge anyway, so the general path stays mutation-free there.
     """
     if state.n < 3 or state.graph.number_of_edges() == 0:
         return None
-    if state.is_tree() and not state.weighted and not state.modeled:
+    if state.value_ops is None and state.is_tree():
         return _find_swap_tree(state)
     return _find_swap_general(state)
 

@@ -71,24 +71,17 @@ endpoint among the patched rows, the shift
 
 (with ``delta`` the patched rows' new-minus-old values) is exact.
 
-When a **traffic matrix** is bound (:meth:`DistanceMatrix.bind_traffic`),
-the per-row *weighted* totals ``wtotals()`` — ``sum_v W[u, v] * d(u, v)``
-for an int64 demand matrix ``W`` — are maintained by the same discipline:
-one full weighted row-sum at first query (counted by the
-:data:`WTOTALS_REBUILDS` spy), then every ``apply_*`` / ``undo`` shifts
-the cached vector from the very same row patches.  The shift generalises
-the uniform one entry-wise (``d`` is symmetric, ``W`` need not be):
-column ``y`` gains ``sum_{x in rows} W[y, x] * delta[x, y]`` and patched
-row ``x`` additionally gains its own weighted row delta minus the
-doubly-counted patched-column part — ``O(|affected| * n)`` per mutation,
-never a full re-sum.
-
 When a **cost model** is bound (:meth:`DistanceMatrix.bind_cost_model`),
 the per-row *model aggregates* ``ftotals()`` ride the very same row
-patches.  For a sum aggregate ``sum_v W[u, v] * f(d(u, v))`` the shift is
-the weighted shift applied to the entry-wise **value delta**
-``f(new) - f(old)`` instead of the distance delta (``f`` of a symmetric
-matrix is symmetric, so the same endpoint argument holds).  For a max
+patches.  For a sum aggregate ``sum_v W[u, v] * f(d(u, v))`` (``W`` an
+int64 demand matrix, or all ones) the shift generalises the uniform one
+entry-wise to the **value delta** ``f(new) - f(old)``: ``f`` of a
+symmetric matrix is symmetric (``W`` need not be), so column ``y`` gains
+``sum_{x in rows} W[y, x] * fdelta[x, y]`` and patched row ``x``
+additionally gains its own weighted row delta minus the doubly-counted
+patched-column part — ``O(|affected| * n)`` per mutation, never a full
+re-sum.  Demand-weighted linear costs are this case with the identity
+table, bound by :class:`~repro.core.state.GameState`.  For a max
 aggregate ``max_v W[u, v] * f(d(u, v))`` the engine maintains each row's
 max *with its multiplicity*: a patched entry above the cached max raises
 it outright, one at the max bumps the count, and only a row whose
@@ -137,8 +130,6 @@ __all__ = [
     "single_source_distances",
     "total_distances",
     "totals_rebuild_count",
-    "weighted_added_edge_dist_gain",
-    "wtotals_rebuild_count",
 ]
 
 #: Number of full APSP builds since import — a test/benchmark spy used to
@@ -157,18 +148,11 @@ _TOTALS_REBUILDS = obs.counter(
     "repro_engine_totals_rebuilds_total", "full totals row-sum rebuilds"
 )
 
-#: Full O(n^2) weighted row-sum rebuilds — the traffic-model counterpart:
-#: one rebuild at first ``wtotals()`` query per engine, zero along move
-#: trajectories.
-_WTOTALS_REBUILDS = obs.counter(
-    "repro_engine_wtotals_rebuilds_total",
-    "full weighted-totals row-sum rebuilds",
-)
-
 #: Full O(n^2) model-value passes rebuilding the per-row cost aggregates —
-#: the cost-model counterpart: one rebuild at first ``ftotals()`` query per
-#: engine, zero along move trajectories (max-row rescans triggered by a
-#: drained count are incremental maintenance and do not count).
+#: the weighted/cost-model counterpart: one rebuild at first ``ftotals()``
+#: query per engine, zero along move trajectories (max-row rescans
+#: triggered by a drained count are incremental maintenance and do not
+#: count).
 _FTOTALS_REBUILDS = obs.counter(
     "repro_engine_ftotals_rebuilds_total", "full model-aggregate rebuilds"
 )
@@ -192,7 +176,6 @@ _BFS_REPAIR_ROWS = obs.counter(
 _SPY_ALIASES = {
     "APSP_BUILDS": _APSP_BUILDS,
     "TOTALS_REBUILDS": _TOTALS_REBUILDS,
-    "WTOTALS_REBUILDS": _WTOTALS_REBUILDS,
     "FTOTALS_REBUILDS": _FTOTALS_REBUILDS,
     "REMOVE_BFS_REPAIRS": _REMOVE_BFS_REPAIRS,
 }
@@ -215,11 +198,6 @@ def apsp_build_count() -> int:
 def totals_rebuild_count() -> int:
     """How many full totals re-sums have been performed since import."""
     return _TOTALS_REBUILDS.value
-
-
-def wtotals_rebuild_count() -> int:
-    """How many full weighted-totals re-sums have been performed."""
-    return _WTOTALS_REBUILDS.value
 
 
 def ftotals_rebuild_count() -> int:
@@ -423,19 +401,6 @@ def added_edge_dist_gain(dist: np.ndarray, u: int, v: int) -> int:
     return int(improvement[improvement > 0].sum())
 
 
-def weighted_added_edge_dist_gain(
-    dist: np.ndarray, weights_row: np.ndarray, u: int, v: int
-) -> int:
-    """Demand-weighted decrease of ``dist(u)`` when edge ``uv`` is added.
-
-    ``weights_row`` is agent ``u``'s demand row; the single definition
-    shared by the BAE checker and the speculative kernel so the two can
-    never disagree on a weighted gain.
-    """
-    improvement = np.maximum(dist[u] - (1 + dist[v]), 0)
-    return int((weights_row * improvement).sum())
-
-
 def removed_edge_dist_vector(
     graph: nx.Graph, u: int, v: int, unreachable: int
 ) -> np.ndarray:
@@ -518,8 +483,6 @@ class DistanceMatrix:
         self._graph = graph
         self._csr: csr_matrix | None = None
         self._totals: np.ndarray | None = None
-        self._weights: np.ndarray | None = None
-        self._wtotals: np.ndarray | None = None
         self._fbind = None
         self._ftotals: np.ndarray | None = None
         self._fcounts: np.ndarray | None = None
@@ -556,58 +519,6 @@ class DistanceMatrix:
             _TOTALS_REBUILDS.inc()
             self._totals = self.matrix.sum(axis=1)
         return self._totals
-
-    # -- weighted totals (heterogeneous traffic) ----------------------------
-
-    def bind_traffic(self, weights: np.ndarray) -> None:
-        """Attach an int64 per-pair demand matrix ``W`` to the engine.
-
-        Enables the incrementally maintained weighted totals
-        ``wtotals()[u] = sum_v W[u, v] * d(u, v)``.  The caller (normally
-        :class:`repro.core.state.GameState`) is responsible for the
-        overflow headroom check ``fits_int64(unreachable * max_row_mass)``;
-        a cheap guard here re-asserts it.  Re-binding the same array is a
-        no-op; binding a different demand matrix drops the cached vector.
-        """
-        weights = np.asarray(weights)
-        if weights.shape != (self.n, self.n):
-            raise ValueError(
-                f"demand matrix shape {weights.shape} does not match n={self.n}"
-            )
-        if weights.dtype != np.int64:
-            raise ValueError("demand matrix must be int64 (exact arithmetic)")
-        if self._weights is weights:
-            return
-        if not fits_int64(self.unreachable * int(weights.sum(axis=1).max())):
-            raise ValueError(
-                "demand mass too large for exact int64 weighted totals"
-            )
-        self._weights = weights
-        self._wtotals = None
-
-    def wtotal(self, u: int) -> int:
-        """``sum_v W[u, v] * d(u, v)`` from the maintained weighted totals."""
-        return int(self._wtotals_live()[u])
-
-    def wtotals(self) -> np.ndarray:
-        """Per-node weighted totals as a snapshot copy.
-
-        Requires a bound traffic matrix (:meth:`bind_traffic`).  The
-        first call pays one full weighted row-sum (spy-counted by
-        :data:`WTOTALS_REBUILDS`); afterwards ``apply_*`` / ``undo``
-        shift the cached vector in place.
-        """
-        return self._wtotals_live().copy()
-
-    def _wtotals_live(self) -> np.ndarray:
-        if self._weights is None:
-            raise RuntimeError(
-                "no traffic matrix bound; call bind_traffic() first"
-            )
-        if self._wtotals is None:
-            _WTOTALS_REBUILDS.inc()
-            self._wtotals = (self.matrix * self._weights).sum(axis=1)
-        return self._wtotals
 
     # -- model aggregates (pluggable distance-cost models) ------------------
 
@@ -646,7 +557,7 @@ class DistanceMatrix:
         call pays one full model-value pass (spy-counted by
         :data:`FTOTALS_REBUILDS`); afterwards ``apply_*`` / ``undo``
         shift the cached vector in place from the same row patches that
-        maintain ``totals()`` / ``wtotals()``.
+        maintain ``totals()``.
         """
         return self._ftotals_live().copy()
 
@@ -685,33 +596,18 @@ class DistanceMatrix:
         return self._ftotals
 
     def _shift_totals(self, rows: np.ndarray, old: np.ndarray) -> None:
-        """Shift cached (weighted) totals by the change ``matrix[rows] - old``.
+        """Shift cached totals by the change ``matrix[rows] - old``.
 
         Exact because the matrix is symmetric and every changed entry has
         at least one endpoint among ``rows`` (the patch invariant of
-        ``apply_add`` / ``apply_remove``).  The weighted shift reads the
-        demand entry of each changed pair from the bound traffic matrix;
-        demands may be asymmetric, only distances must be symmetric.
+        ``apply_add`` / ``apply_remove``).
         """
         totals = self._totals
-        wtotals = self._wtotals
-        ftotals = self._ftotals
-        if totals is None and wtotals is None and ftotals is None:
-            return
-        delta = self.matrix[rows] - old
         if totals is not None:
+            delta = self.matrix[rows] - old
             totals += delta.sum(axis=0)
             totals[rows] += delta.sum(axis=1) - delta[:, rows].sum(axis=1)
-        if wtotals is not None:
-            weights = self._weights
-            # column y gains sum_{x in rows} W[y, x] * delta[x, y] ...
-            wtotals += (weights[:, rows] * delta.T).sum(axis=1)
-            # ... and each patched row additionally gains its own weighted
-            # row delta, minus the patched-column part already counted
-            wtotals[rows] += (weights[rows] * delta).sum(axis=1) - (
-                weights[np.ix_(rows, rows)] * delta[:, rows]
-            ).sum(axis=1)
-        if ftotals is not None:
+        if self._ftotals is not None:
             self._shift_ftotals(rows, old)
 
     def _shift_ftotals(self, rows: np.ndarray, old: np.ndarray) -> None:
@@ -719,7 +615,8 @@ class DistanceMatrix:
 
         The value delta ``f(new) - f(old)`` inherits the distance delta's
         symmetry and endpoint coverage, so for a **sum** aggregate the
-        weighted-totals shift applies verbatim in value space.  A **max**
+        totals shift applies in value space, each changed pair weighted
+        by its demand entry (demands may be asymmetric).  A **max**
         aggregate instead maintains each row's max with its multiplicity:
         only entries in the patched columns changed for an unpatched row,
         so a new value above the cached max raises it (the fresh count
@@ -741,7 +638,11 @@ class DistanceMatrix:
                 )
             else:
                 weights = ops.weights
+                # column y gains sum_{x in rows} W[y, x] * fdelta[x, y] ...
                 ftotals += (weights[:, rows] * fdelta.T).sum(axis=1)
+                # ... and each patched row additionally gains its own
+                # weighted row delta, minus the patched-column part
+                # already counted
                 ftotals[rows] += (weights[rows] * fdelta).sum(axis=1) - (
                     weights[np.ix_(rows, rows)] * fdelta[:, rows]
                 ).sum(axis=1)

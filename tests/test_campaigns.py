@@ -330,6 +330,9 @@ class TestExecution:
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            # its own process group, so the kill below reaches the pool
+            # workers too instead of leaving them orphaned
+            start_new_session=True,
         )
         results = store_dir / "results.jsonl"
         try:
@@ -344,7 +347,7 @@ class TestExecution:
                 pytest.fail("campaign produced no records within 120s")
         finally:
             if proc.poll() is None:
-                proc.send_signal(signal.SIGKILL)
+                os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=60)
 
         interrupted = CampaignStore(store_dir)

@@ -393,6 +393,18 @@ class TestModeledGuards:
             # sentinel must clear the largest real value
             ModelOps(5, model.table(5), int(model.table(5)[-1]), aggregate="sum")
 
+    def test_model_ops_rejects_malformed_demand_matrices(self):
+        table = LinearCost().table(3)
+        with pytest.raises(ValueError, match="int64"):
+            # fractional demands would be truncated by the int64 totals
+            ModelOps(3, table, 10**6, weights=np.full((3, 3), 0.5))
+        with pytest.raises(ValueError, match="shape"):
+            ModelOps(
+                3, table, 10**6, weights=np.ones((2, 2), dtype=np.int64)
+            )
+        ops = ModelOps(3, table, 10**6, weights=np.ones((3, 3), dtype=np.int64))
+        assert ops.weights.shape == (3, 3)
+
     def test_costmodel_is_a_cost_model_subclass_contract(self):
         for model in (LinearCost(),) + NONLINEAR_MODELS:
             assert isinstance(model, CostModel)

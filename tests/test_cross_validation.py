@@ -8,11 +8,13 @@ constructions), asserting **bit-exact agreement at every step** between
 * the in-place :class:`~repro.graphs.distances.DistanceMatrix` and a fresh
   scipy APSP of the mutated graph,
 * the incrementally maintained ``totals()`` and a fresh row sum,
-* the incrementally maintained weighted ``wtotals()`` (uniform and
-  random demand matrices) and a fresh weighted row sum, plus weighted
-  per-agent costs along ``GameState.apply`` chains vs naive
-  recomputation — with the ``WTOTALS_REBUILDS`` spy proving exactly one
-  weighted row-sum per engine and zero along trajectories,
+* the weighted totals — ``ftotals()`` bound to an identity-table
+  :class:`~repro.core.costmodel.ModelOps` carrying a (uniform or random)
+  demand matrix, exactly as ``GameState`` binds weighted-linear states —
+  and a fresh weighted row sum, plus weighted per-agent costs along
+  ``GameState.apply`` chains vs naive recomputation — with the
+  ``FTOTALS_REBUILDS`` spy proving exactly one weighted row-sum per
+  engine and zero along trajectories,
 * the incrementally maintained model aggregates ``ftotals()`` (linear,
   concave, convex and max cost models, with and without demand
   matrices) and a fresh per-entry recomputation — including the
@@ -44,6 +46,7 @@ import pytest
 
 from repro.constructions.basic import clique, complete_binary_tree, cycle, star
 from repro.core.concepts import Concept
+from repro.core.costmodel import LinearCost, ModelOps
 from repro.core.moves import AddEdge, RemoveEdge, Swap
 from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
@@ -301,8 +304,20 @@ def demand_matrix(n: int, seed: int) -> np.ndarray:
     return TrafficMatrix.random_demands(n, seed=seed, high=4).weights
 
 
+def bind_weighted(dm: DistanceMatrix, weights: np.ndarray) -> None:
+    """Bind demand-weighted linear totals the way ``GameState`` does: an
+    identity-table ``ModelOps`` whose value sentinel is the distance
+    sentinel itself."""
+    dm.bind_cost_model(
+        ModelOps(
+            dm.n, LinearCost().table(dm.n), dm.unreachable, weights=weights
+        )
+    )
+
+
 class TestWeightedTotalsCrossValidation:
-    """``wtotals()`` vs a fresh weighted row sum at every trajectory step."""
+    """Weighted ``ftotals()`` vs a fresh weighted row sum at every
+    trajectory step."""
 
     def test_wtotals_match_naive_along_trajectories(self):
         for seed in range(25):
@@ -312,26 +327,26 @@ class TestWeightedTotalsCrossValidation:
             n = graph.number_of_nodes()
             weights = demand_matrix(n, seed)
             dm = DistanceMatrix(graph, UNREACHABLE)
-            dm.bind_traffic(weights)
-            rebuilds_before = distances_mod.wtotals_rebuild_count()
+            bind_weighted(dm, weights)
+            rebuilds_before = distances_mod.ftotals_rebuild_count()
             assert (
-                dm.wtotals()
+                dm.ftotals()
                 == (apsp_matrix(graph, UNREACHABLE) * weights).sum(axis=1)
             ).all()
             assert (
-                distances_mod.wtotals_rebuild_count() == rebuilds_before + 1
+                distances_mod.ftotals_rebuild_count() == rebuilds_before + 1
             )
             for _ in range(STEPS):
                 if random_step(dm, graph, rng) is None:
                     continue
                 fresh = apsp_matrix(graph, UNREACHABLE)
-                assert (dm.wtotals() == (fresh * weights).sum(axis=1)).all()
+                assert (dm.ftotals() == (fresh * weights).sum(axis=1)).all()
                 # uniform demand: the weighted vector is the uniform one
                 if (weights == TrafficMatrix.uniform(n).weights).all():
-                    assert (dm.wtotals() == dm.totals()).all()
+                    assert (dm.ftotals() == dm.totals()).all()
             # incrementality: exactly one weighted row-sum per engine
             assert (
-                distances_mod.wtotals_rebuild_count() == rebuilds_before + 1
+                distances_mod.ftotals_rebuild_count() == rebuilds_before + 1
             )
 
     def test_undo_restores_wtotals(self):
@@ -341,8 +356,8 @@ class TestWeightedTotalsCrossValidation:
             n = graph.number_of_nodes()
             weights = demand_matrix(n, seed + 1)
             dm = DistanceMatrix(graph, UNREACHABLE)
-            dm.bind_traffic(weights)
-            before = dm.wtotals()
+            bind_weighted(dm, weights)
+            before = dm.ftotals()
             tokens = []
             for _ in range(STEPS):
                 token = random_step(dm, graph, rng)
@@ -350,7 +365,7 @@ class TestWeightedTotalsCrossValidation:
                     tokens.append(token)
             for token in reversed(tokens):
                 dm.undo(token)
-            assert (dm.wtotals() == before).all()
+            assert (dm.ftotals() == before).all()
 
     def test_asymmetric_demands_stay_exact(self):
         """Only the *distance* matrix is symmetric; W need not be."""
@@ -359,12 +374,12 @@ class TestWeightedTotalsCrossValidation:
         weights = np.arange(81, dtype=np.int64).reshape(9, 9).copy()
         np.fill_diagonal(weights, 0)
         dm = DistanceMatrix(graph, UNREACHABLE)
-        dm.bind_traffic(weights)
-        dm.wtotals()
+        bind_weighted(dm, weights)
+        dm.ftotals()
         for _ in range(15):
             random_step(dm, graph, rng)
             fresh = apsp_matrix(graph, UNREACHABLE)
-            assert (dm.wtotals() == (fresh * weights).sum(axis=1)).all()
+            assert (dm.ftotals() == (fresh * weights).sum(axis=1)).all()
 
     def test_weighted_costs_match_naive_along_apply_chains(self):
         for seed in range(20):
@@ -379,7 +394,7 @@ class TestWeightedTotalsCrossValidation:
             )
             state = GameState(graph, alpha, traffic=traffic)
             state.dist  # materialise so apply() hands the engine off
-            rebuilds_before = distances_mod.wtotals_rebuild_count()
+            rebuilds_before = distances_mod.ftotals_rebuild_count()
             for _ in range(6):
                 move = TestCostCrossValidation._random_move(state, rng)
                 if move is None:
@@ -395,9 +410,9 @@ class TestWeightedTotalsCrossValidation:
                     expected_social += expected
                 assert state.social_cost() == expected_social
             # weighted trajectories pay at most one weighted row-sum
-            # (zero when the uniform dispatch never touches wtotals)
+            # (zero when the uniform dispatch never touches ftotals)
             assert (
-                distances_mod.wtotals_rebuild_count() <= rebuilds_before + 1
+                distances_mod.ftotals_rebuild_count() <= rebuilds_before + 1
             )
 
 

@@ -8,7 +8,8 @@ Three pillars:
   layer on the original code paths;
 * **weighted exactness** — kernel evaluations, move generators and all
   checkers agree with naive from-scratch recomputation
-  (``agent_cost_after`` on a mutated copy) for random, hub-spoke,
+  (a fresh networkx BFS on a mutated copy, independent of the engine
+  and of :mod:`repro.core.costs`) for random, hub-spoke,
   broadcast and gravity demand matrices, including the zero-demand
   regime where bridge removals become profitable;
 * **plumbing** — constructors validate, specs round-trip, weighted
@@ -25,11 +26,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.analysis.poa import empirical_tree_poa, empirical_weighted_poa
+from repro.analysis.poa import (
+    empirical_tree_poa,
+    empirical_weighted_poa,
+    re_upper_bound_via_prop_3_1,
+)
 from repro.core.concepts import Concept
 from repro.core.costs import (
-    agent_cost,
-    agent_cost_after,
     dist_totals_after,
     max_agent_cost,
     strictly_improves,
@@ -87,13 +90,34 @@ def sample_traffic(n: int, trial: int, rng: random.Random) -> TrafficMatrix:
     return TrafficMatrix.random_demands(n, seed=trial, high=3, density=0.6)
 
 
+def naive_cost(state: GameState, graph: nx.Graph, u: int) -> Fraction:
+    """``alpha * deg(u) + sum_v W[u, v] * d(u, v)`` from a fresh networkx
+    BFS, unreachable pairs at ``state.m_constant`` — independent of the
+    engine, the kernel and :mod:`repro.core.costs` (the weighted analogue
+    of ``tests/reference.naive_cost``)."""
+    lengths = nx.single_source_shortest_path_length(graph, u)
+    weights = state.traffic.weights[u]
+    total = sum(
+        int(weights[v]) * lengths.get(v, state.m_constant)
+        for v in graph.nodes
+        if v != u
+    )
+    return state.alpha * graph.degree(u) + total
+
+
 def naive_improves(state: GameState, move) -> bool:
     """From-scratch verdict: fresh BFS costs on a mutated graph copy."""
     after = move.apply(state.graph)
     return all(
-        agent_cost_after(state, after, agent) < agent_cost(state, agent)
+        naive_cost(state, after, agent) < naive_cost(state, state.graph, agent)
         for agent in move.beneficiaries()
     )
+
+
+def possibly_disconnected_gnp(n: int, rng: random.Random) -> nx.Graph:
+    """A plain G(n, p) sample — often disconnected, so unreachable pairs
+    (the ``M`` sentinel) enter every cost the suites compare."""
+    return nx.gnp_random_graph(n, rng.choice((0.2, 0.3)), seed=rng.randrange(2**31))
 
 
 # -- plumbing ----------------------------------------------------------------
@@ -173,6 +197,23 @@ class TestTrafficMatrix:
         assert not uniform.weighted
         assert uniform.rho() == GameState(nx.path_graph(4), 2).rho()
 
+    def test_prop_3_1_bound_raises_on_weighted_states(self):
+        """No silent mixing: the Prop. 3.1 bound reads unweighted totals,
+        so a weighted state must raise exactly like ``rho()`` does."""
+        star = GameState(
+            nx.star_graph(4), 2, traffic=TrafficMatrix.hub_spoke(5, [0])
+        )
+        with pytest.raises(ValueError):
+            star.rho()
+        with pytest.raises(ValueError, match="weighted"):
+            re_upper_bound_via_prop_3_1(star)
+        uniform = GameState(
+            nx.star_graph(4), 2, traffic=TrafficMatrix.uniform(5)
+        )
+        assert re_upper_bound_via_prop_3_1(uniform) == (
+            re_upper_bound_via_prop_3_1(GameState(nx.star_graph(4), 2))
+        )
+
 
 # -- uniform equivalence -----------------------------------------------------
 
@@ -249,9 +290,15 @@ class TestWeightedKernel:
 
     def test_evaluate_matches_naive_costs(self):
         rng = random.Random(11)
-        for trial in range(20):
+        disconnected = 0
+        for trial in range(30):
             n = rng.randint(4, 9)
-            graph = random_connected_gnp(n, 0.5, rng)
+            graph = (
+                random_connected_gnp(n, 0.5, rng)
+                if trial < 20
+                else possibly_disconnected_gnp(n, rng)
+            )
+            disconnected += not nx.is_connected(graph)
             traffic = sample_traffic(n, trial, rng)
             state = GameState(
                 graph, Fraction(rng.randint(1, 9), 2), traffic=traffic
@@ -261,10 +308,11 @@ class TestWeightedKernel:
                 evaluation = spec.evaluate(move)
                 after = move.apply(state.graph)
                 for agent, delta in evaluation.cost_deltas:
-                    naive_delta = agent_cost_after(
-                        state, after, agent
-                    ) - agent_cost(state, agent)
+                    naive_delta = naive_cost(state, after, agent) - naive_cost(
+                        state, state.graph, agent
+                    )
                     assert delta == naive_delta, (trial, move)
+        assert disconnected  # the sentinel mapping was exercised
 
     def test_rows_only_matches_speculation(self):
         """Weighted rows-only sweeps are bit-identical to apply/undo."""
@@ -357,13 +405,16 @@ class TestWeightedCheckersVsNaive:
 
     def test_polynomial_checkers_match_naive(self):
         rng = random.Random(23)
-        for trial in range(30):
+        disconnected = 0
+        for trial in range(45):
             n = rng.randint(3, 8)
-            graph = (
-                random_tree(n, rng)
-                if trial % 3 == 0
-                else random_connected_gnp(n, 0.45, rng)
-            )
+            if trial >= 30:
+                graph = possibly_disconnected_gnp(n, rng)
+                disconnected += not nx.is_connected(graph)
+            elif trial % 3 == 0:
+                graph = random_tree(n, rng)
+            else:
+                graph = random_connected_gnp(n, 0.45, rng)
             traffic = sample_traffic(n, trial, rng)
             state = GameState(
                 graph, Fraction(rng.randint(1, 9), rng.choice((1, 2))),
@@ -380,6 +431,7 @@ class TestWeightedCheckersVsNaive:
                 and self.naive_bae(state)
                 and self.naive_bswe(state)
             )
+        assert disconnected  # the sentinel mapping was exercised
 
     def naive_bne(self, state):
         for center in range(state.n):
